@@ -22,8 +22,8 @@ from repro.runtime.executor import run_program
 def gpu_iterate_config(compiled):
     config = default_configuration(compiled.training_info)
     iteration = compiled.transform("SORIteration")
-    config.selectors["SORIteration"] = Selector.constant(
-        iteration.choice_index("halfsweeps/opencl")
+    config = config.with_selector(
+        "SORIteration", Selector.constant(iteration.choice_index("halfsweeps/opencl"))
     )
     return config
 

@@ -26,14 +26,12 @@ def tuning_time_with(ir_cache: bool, binary_cache: bool = False) -> float:
     evaluator.jit.binary_cache_enabled = binary_cache
 
     config = default_configuration(compiled.training_info)
-    gpu_config = config.copy()
     top = compiled.transform("Convolve2D")
-    gpu_config.selectors["Convolve2D"] = Selector.constant(
-        top.choice_index("direct/opencl")
+    gpu_config = config.with_selector(
+        "Convolve2D", Selector.constant(top.choice_index("direct/opencl"))
     )
-    gpu_local = config.copy()
-    gpu_local.selectors["Convolve2D"] = Selector.constant(
-        top.choice_index("direct/opencl_local")
+    gpu_local = config.with_selector(
+        "Convolve2D", Selector.constant(top.choice_index("direct/opencl_local"))
     )
     for size in (64, 256, 1024):
         for candidate in (config, gpu_config, gpu_local):
@@ -71,8 +69,11 @@ def test_compile_cost_dominates_small_sizes(benchmark):
         compiled = compile_program(conv.build_program(7), DESKTOP)
         evaluator = Evaluator(compiled, lambda n: conv.make_env(n, 7, seed=0))
         config = default_configuration(compiled.training_info)
-        config.selectors["Convolve2D"] = Selector.constant(
-            compiled.transform("Convolve2D").choice_index("direct/opencl")
+        config = config.with_selector(
+            "Convolve2D",
+            Selector.constant(
+                compiled.transform("Convolve2D").choice_index("direct/opencl")
+            ),
         )
         evaluation = evaluator.evaluate(config, 64)
         return evaluation.time_s, evaluator.tuning_time_s

@@ -32,8 +32,10 @@ def main() -> None:
         for ratio in range(9):
             config = default_configuration(compiled.training_info)
             if ratio > 0:
-                config.selectors["BlackScholes"] = Selector.constant(opencl_index)
-                config.tunables["gpu_ratio_BlackScholes"] = ratio
+                config = config.with_selector(
+                    "BlackScholes", Selector.constant(opencl_index)
+                )
+                config = config.with_tunable("gpu_ratio_BlackScholes", ratio)
             env = bs.make_env(OPTIONS, seed=0)
             result = run_program(compiled, config, env)
             assert np.allclose(env["Out"], bs.reference(env))

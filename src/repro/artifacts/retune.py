@@ -41,6 +41,7 @@ from repro.core.mutators import Mutator, mutators_for
 from repro.core.report import TuningReport, report_from_payload, report_to_payload
 from repro.core.result_cache import ResultCache
 from repro.core.search import EvolutionaryTuner
+from repro.errors import ConfigurationError
 from repro.experiments import runner as _runner
 from repro.experiments.runner import TunedSession
 from repro.hardware.machines import MachineSpec
@@ -163,12 +164,12 @@ def retune_session(
     if isinstance(prior_payload, dict):
         try:
             prior_report = report_from_payload(prior_payload)
-        except (KeyError, TypeError, ValueError):
+        except (ConfigurationError, KeyError, TypeError, ValueError):
             prior_report = None  # stale layout: fall back to a cold run
 
     if sync.clean and prior_report is not None:
         # Every derivation is memoized: serve the stored report whole.
-        prior_report.best = prior_report.best.copy(label=label)
+        prior_report.best = prior_report.best.relabelled(label)
         session = TunedSession(
             spec=spec, machine=machine, compiled=compiled,
             report=prior_report,
@@ -193,7 +194,7 @@ def retune_session(
         # fig7 migration path, automatic: the prior winner joins the
         # seed population (relabelled "default" so its descendants
         # share disk-cache entries with ordinary runs).
-        warm_seeds = [prior_report.best.copy(label="default")]
+        warm_seeds = [prior_report.best.relabelled("default")]
         warm_start = {
             "program": compiled.program.name,
             "machine": machine.codename,

@@ -8,6 +8,14 @@ Configurations serialise to JSON so they can be stored, migrated
 between machines (the Figure 7 experiments), and fed back to the
 compiler.
 
+A :class:`Configuration` is an immutable value.  The autotuner tests
+thousands of candidates, and each is keyed by its compact canonical
+JSON (:meth:`Configuration.canonical_key`) in the evaluator's memo, the
+driver's journal and checkpoints; since nothing can change after
+construction, each instance builds that key once and carries it.  New
+candidates are derived with the ``with_*`` builders or constructed
+from plain dicts.
+
 A simulated run never holds the configuration itself: it reads it
 through a :class:`ConfigurationView`, which can answer only two kinds of
 :data:`Question` and records the run's :data:`DecisionPath`.
@@ -16,8 +24,8 @@ through a :class:`ConfigurationView`, which can answer only two kinds of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.compiler.training_info import TrainingInfo
 from repro.errors import ConfigurationError
@@ -32,10 +40,26 @@ Question = Tuple[str, str, int]
 #: The ``(question, answer)`` pairs one run asked, in first-asked order.
 DecisionPath = Tuple[Tuple[Question, int], ...]
 
+#: Attribute assignment past :meth:`Configuration.__setattr__`, which
+#: refuses every assignment once an instance exists.
+_set = object.__setattr__
 
-@dataclass
+#: The encoder of :meth:`Configuration.canonical_key`, built once where
+#: ``json.dumps`` with these options would build one per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class Configuration:
     """A complete assignment of choices for one compiled program.
+
+    An immutable value: :attr:`selectors` and :attr:`tunables` are
+    read-only mappings copied at construction, and assigning to an item
+    or an attribute raises :class:`TypeError`.  Derive a changed
+    configuration with :meth:`with_selector`, :meth:`with_tunable` or
+    :meth:`relabelled`, or build plain dicts and construct once.
+    Because nothing can change after construction, each instance builds
+    its :meth:`canonical_key` at most once, and equality and hashing use
+    that key.
 
     Attributes:
         program_name: Program this configuration tunes.
@@ -44,10 +68,82 @@ class Configuration:
         label: Optional provenance label (e.g. "Desktop Config").
     """
 
+    __slots__ = ("program_name", "selectors", "tunables", "label", "_key")
+
     program_name: str
-    selectors: Dict[str, Selector] = field(default_factory=dict)
-    tunables: Dict[str, int] = field(default_factory=dict)
-    label: str = ""
+    selectors: Mapping[str, Selector]
+    tunables: Mapping[str, int]
+    label: str
+
+    def __init__(
+        self,
+        program_name: str,
+        selectors: Optional[Mapping[str, Selector]] = None,
+        tunables: Optional[Mapping[str, int]] = None,
+        label: str = "",
+    ) -> None:
+        _set(self, "program_name", program_name)
+        _set(self, "selectors", MappingProxyType(dict(selectors or {})))
+        _set(self, "tunables", MappingProxyType(dict(tunables or {})))
+        _set(self, "label", label)
+        _set(self, "_key", None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise TypeError(
+            f"Configuration is immutable: cannot set {name!r}; derive a new "
+            "one with with_selector(), with_tunable() or relabelled()"
+        )
+
+    def __delattr__(self, name: str) -> None:
+        raise TypeError(f"Configuration is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # The read-only mappings do not pickle: rebuild from plain dicts.
+        return (
+            Configuration,
+            (self.program_name, dict(self.selectors), dict(self.tunables), self.label),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return self.canonical_key() == other.canonical_key()
+
+    def __hash__(self) -> int:
+        return hash(self.canonical_key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Configuration(program_name={self.program_name!r}, "
+            f"selectors={dict(self.selectors)!r}, "
+            f"tunables={dict(self.tunables)!r}, label={self.label!r})"
+        )
+
+    def with_selector(self, name: str, selector: Selector) -> "Configuration":
+        """This configuration with transform ``name`` dispatched by
+        ``selector``."""
+        return Configuration(
+            self.program_name,
+            {**self.selectors, name: selector},
+            self.tunables,
+            self.label,
+        )
+
+    def with_tunable(self, name: str, value: int) -> "Configuration":
+        """This configuration with tunable ``name`` set to ``value``."""
+        return Configuration(
+            self.program_name,
+            self.selectors,
+            {**self.tunables, name: value},
+            self.label,
+        )
+
+    def relabelled(self, label: str) -> "Configuration":
+        """This configuration under provenance ``label`` (itself when
+        the label is unchanged)."""
+        if label == self.label:
+            return self
+        return Configuration(self.program_name, self.selectors, self.tunables, label)
 
     def select_index(self, transform_name: str, size: int) -> int:
         """Resolve the execution-choice index for an invocation.
@@ -79,15 +175,6 @@ class Configuration:
         if kind == "select":
             return self.select_index(name, argument)
         return self.tunable(name, argument)
-
-    def copy(self, label: Optional[str] = None) -> "Configuration":
-        """Deep-enough copy (selectors are immutable)."""
-        return Configuration(
-            program_name=self.program_name,
-            selectors=dict(self.selectors),
-            tunables=dict(self.tunables),
-            label=self.label if label is None else label,
-        )
 
     def validate(self, training: TrainingInfo) -> None:
         """Check the configuration against a program's search space.
@@ -121,48 +208,63 @@ class Configuration:
                     f"tunable {name!r}={value} outside [{spec.lo}, {spec.hi}]"
                 )
 
+    def _payload(self) -> Dict[str, Any]:
+        return {
+            "program": self.program_name,
+            "label": self.label,
+            "selectors": {k: v.to_json() for k, v in self.selectors.items()},
+            "tunables": dict(self.tunables),
+        }
+
     def to_json(self) -> str:
         """Serialise to the on-disk choice configuration format."""
-        payload = {
-            "program": self.program_name,
-            "label": self.label,
-            "selectors": {k: v.to_json() for k, v in sorted(self.selectors.items())},
-            "tunables": dict(sorted(self.tunables.items())),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self._payload(), indent=2, sort_keys=True)
 
     def canonical_key(self) -> str:
-        """Compact canonical serialisation for memo/cache keys.
+        """Compact canonical serialisation: the memo, journal and
+        checkpoint key.
 
         Same content as :meth:`to_json` (and parseable by
-        :meth:`from_json`), but without pretty-printing — this string
-        is computed on the evaluator's per-candidate hot path, where
-        the indented format spent measurable time on whitespace.
+        :meth:`from_json`), but without pretty-printing.  Built on the
+        first call and stored, so later calls return the same string;
+        two threads racing on the first call both build that string.
+        This is the only place a key is built.
         """
-        payload = {
-            "program": self.program_name,
-            "label": self.label,
-            "selectors": {k: v.to_json() for k, v in sorted(self.selectors.items())},
-            "tunables": dict(sorted(self.tunables.items())),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        key = self._key
+        if key is None:
+            key = _KEY_ENCODER.encode(self._payload())
+            _set(self, "_key", key)
+        return key
 
     @staticmethod
     def from_json(text: str) -> "Configuration":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json` and :meth:`canonical_key`.
+
+        Raises:
+            ConfigurationError: If ``text`` is not a configuration's
+                JSON: not JSON at all, not an object, no string
+                ``program``, or a selector or tunable that does not
+                decode.
+        """
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"malformed configuration file: {exc}") from exc
-        return Configuration(
-            program_name=payload["program"],
-            label=payload.get("label", ""),
-            selectors={
-                name: Selector.from_json(data)
-                for name, data in payload.get("selectors", {}).items()
-            },
-            tunables={k: int(v) for k, v in payload.get("tunables", {}).items()},
-        )
+            program = payload["program"]
+            label = payload.get("label", "")
+            if not isinstance(program, str) or not isinstance(label, str):
+                raise TypeError("program and label must be strings")
+            return Configuration(
+                program_name=program,
+                label=label,
+                selectors={
+                    name: Selector.from_json(data)
+                    for name, data in payload.get("selectors", {}).items()
+                },
+                tunables={k: int(v) for k, v in payload.get("tunables", {}).items()},
+            )
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"malformed configuration file: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 class ConfigurationView:

@@ -53,7 +53,7 @@ from repro.core.fitness import Evaluator
 from repro.core.report import TuningReport, report_from_payload, report_to_payload
 from repro.core.result_cache import execution_model_hash
 from repro.core.strategies.base import Proposal, SearchPlan, SearchStrategy
-from repro.errors import TuningError
+from repro.errors import ConfigurationError, TuningError
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -560,7 +560,7 @@ class TuningDriver:
         result = self._strategy.result()
         evaluator = self._evaluator
         self._report = TuningReport(
-            best=result.best.config.copy(label=label),
+            best=result.best.config.relabelled(label),
             best_time_s=result.best_time_s,
             tuning_time_s=evaluator.tuning_time_s,
             evaluations=evaluator.evaluations,
@@ -643,9 +643,9 @@ class TuningDriver:
         if entry.get("complete"):
             try:
                 report = report_from_payload(entry["report"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError):
+            except (ConfigurationError, KeyError, TypeError, ValueError):
                 return None
-            report.best = report.best.copy(label=label)
+            report.best = report.best.relabelled(label)
             self._report = report
             self._emit(
                 f"[tune] {self._session_tag()} resumed finished session "
@@ -658,7 +658,13 @@ class TuningDriver:
                 for config_json, size in entry["journal"]  # type: ignore[union-attr]
             ]
             state = entry["strategy_state"]
-        except (KeyError, TypeError, ValueError):
+            # Decoded before anything is restored or replayed, so a
+            # malformed entry starts the session over untouched.
+            replay = [
+                (Configuration.from_json(config_json), size)
+                for config_json, size in journal
+            ]
+        except (ConfigurationError, KeyError, TypeError, ValueError):
             return None
         try:
             self._strategy.restore_state(state)  # type: ignore[arg-type]
@@ -669,8 +675,8 @@ class TuningDriver:
             # pristine one and start the session over.
             self._strategy = type(self._strategy)(self._plan)
             return None
-        for config_json, size in journal:
-            self._evaluator.evaluate(Configuration.from_json(config_json), size)
+        for config, size in replay:
+            self._evaluator.evaluate(config, size)
         self._journal = list(journal)
         self.stats.replayed = len(journal)
         self._rounds_reported = len(self._strategy.history)

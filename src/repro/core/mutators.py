@@ -35,10 +35,11 @@ class Mutator(abc.ABC):
     def mutate(
         self, parent: Configuration, rng: random.Random, current_size: int
     ) -> Optional[Configuration]:
-        """Produce a mutated copy of ``parent`` (or None if impossible).
+        """Produce a mutated child of ``parent`` (or None if impossible).
 
         Args:
-            parent: Configuration to derive from (never modified).
+            parent: Configuration to derive from (immutable; the child
+                is built with its ``with_*`` builders).
             rng: Seeded randomness source.
             current_size: Input size the tuner is currently testing;
                 size-like mutations centre around it (paper: synthetic
@@ -75,9 +76,9 @@ class SelectorAddLevel(Mutator):
         if cutoff in selector.cutoffs:
             return None
         algorithm = rng.randrange(self.spec.num_algorithms)
-        child = parent.copy()
-        child.selectors[self.name] = selector.with_level_added(cutoff, algorithm)
-        return child
+        return parent.with_selector(
+            self.name, selector.with_level_added(cutoff, algorithm)
+        )
 
 
 class SelectorRemoveLevel(Mutator):
@@ -93,11 +94,8 @@ class SelectorRemoveLevel(Mutator):
         selector = parent.selectors.get(self.name)
         if selector is None or not selector.cutoffs:
             return None
-        child = parent.copy()
-        child.selectors[self.name] = selector.with_level_removed(
-            rng.randrange(len(selector.cutoffs))
-        )
-        return child
+        level = rng.randrange(len(selector.cutoffs))
+        return parent.with_selector(self.name, selector.with_level_removed(level))
 
 
 class SelectorChangeAlgorithm(Mutator):
@@ -117,9 +115,9 @@ class SelectorChangeAlgorithm(Mutator):
         algorithm = rng.randrange(self.spec.num_algorithms)
         if algorithm == selector.algorithms[level]:
             algorithm = (algorithm + 1) % self.spec.num_algorithms
-        child = parent.copy()
-        child.selectors[self.name] = selector.with_algorithm(level, algorithm)
-        return child
+        return parent.with_selector(
+            self.name, selector.with_algorithm(level, algorithm)
+        )
 
 
 class SelectorScaleCutoff(Mutator):
@@ -143,9 +141,7 @@ class SelectorScaleCutoff(Mutator):
         mutated = selector.with_cutoff_scaled(level, new_cutoff)
         if mutated.cutoffs == selector.cutoffs:
             return None
-        child = parent.copy()
-        child.selectors[self.name] = mutated
-        return child
+        return parent.with_selector(self.name, mutated)
 
 
 class TunableMutator(Mutator):
@@ -175,9 +171,7 @@ class TunableMutator(Mutator):
             value = rng.randint(self.spec.lo, self.spec.hi)
         if value == current:
             return None
-        child = parent.copy()
-        child.tunables[self.name] = value
-        return child
+        return parent.with_tunable(self.name, value)
 
 
 def mutators_for(training: TrainingInfo) -> List[Mutator]:

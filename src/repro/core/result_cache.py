@@ -37,7 +37,8 @@ Reads: :meth:`ResultCache.get` returns every record of a log whose
 header equals the context verbatim.  A header that differs (two
 contexts sharing a truncated hash) is a *collision*: a counted miss,
 never served, never appended to.  A header that is not a context at
-all is corruption: the log is quarantined.  Blank lines are skipped.  A
+all, or a line that passes its checksum without a record's shape, is
+corruption: the log is quarantined.  Blank lines are skipped.  A
 newline-terminated line whose checksum fails is skipped and counted
 under ``invalid``; an unterminated final segment may be an append in
 flight, so it is skipped without counting.  Each record is appended as
@@ -171,17 +172,18 @@ class CacheStats:
         misses: Logs absent, unreadable, corrupt or another context's.
         stores: Records appended.
         invalid: Records skipped: newline-terminated lines of a loaded
-            log that fail their checksum or do not parse, and records
-            that could not be serialised.  This is the operator-facing
-            corruption signal — it never counts a benign collision or
-            an append in flight.
+            log that fail their checksum, and records that could not be
+            serialised.  This is the operator-facing corruption signal
+            — it never counts a benign collision or an append in
+            flight.
         collisions: Logs whose header named another context (two
             contexts sharing a truncated hash).  Counted separately
             from ``invalid`` because a collision is expected cache
             behaviour, not corruption.
         quarantined: Logs moved into the ``quarantine/`` subdirectory
-            because their records conflict or their header is corrupt
-            (the move itself is best effort).
+            because their records conflict, their header is corrupt or
+            a line passing its checksum lacks a record's shape (the
+            move itself is best effort).
         write_errors: Appends that failed with ``OSError`` (each
             retried attempt counts; an append that eventually succeeds
             still counts its failed tries here).
@@ -218,16 +220,30 @@ def _names_a_context(line: bytes) -> bool:
         return False
 
 
-def _frozen(value: Any) -> Any:
-    """JSON arrays back as the tuples the evaluator built."""
-    if isinstance(value, list):
-        return tuple(_frozen(item) for item in value)
-    return value
+def _record(text: bytes) -> Record:
+    """One record's JSON back as the tuples the evaluator built, decoded
+    by the record's shape.
+
+    Raises:
+        RecursionError, TypeError, ValueError: If the JSON does not
+            have that shape.
+    """
+    size, path, (time_s, accuracy, events) = json.loads(text)
+    return (
+        size,
+        tuple([((kind, name, arg), answer) for (kind, name, arg), answer in path]),
+        (time_s, accuracy, tuple([(source, device) for source, device in events])),
+    )
 
 
-def _records(header: bytes, body: bytes) -> Tuple[List[Record], int]:
+def _records(header: bytes, body: bytes) -> Tuple[Optional[List[Record]], int]:
     """The records of a log's ``body`` (everything after its header
-    line), and how many terminated lines were skipped as invalid."""
+    line), and how many terminated lines were skipped as invalid.
+
+    The records are None when a line passes its checksum but does not
+    have a record's shape: only a faulty writer leaves one, so the
+    whole log is suspect.
+    """
     lines = body.split(b"\n")
     lines.pop()  # unterminated: empty, or an append in flight
     records: List[Record] = []
@@ -238,14 +254,13 @@ def _records(header: bytes, body: bytes) -> Tuple[List[Record], int]:
             continue  # blank, or a path two writers both simulated
         seen.add(line)
         text, _, checksum = line.rpartition(b"\t")
-        try:
-            if checksum != _checksum(header, text):
-                raise ValueError("checksum mismatch")
-            size, path, outcome = json.loads(text)
-        except (TypeError, ValueError):
+        if checksum != _checksum(header, text):
             invalid += 1
             continue
-        records.append((size, _frozen(path), _frozen(outcome)))
+        try:
+            records.append(_record(text))
+        except (RecursionError, TypeError, ValueError):
+            return None, invalid
     return records, invalid
 
 
@@ -325,26 +340,27 @@ class ResultCache:
                 self.stats.misses += 1
             return None
         first, newline, body = data.partition(b"\n")
-        if first != header:
-            if newline and _names_a_context(first):
+        if first == header:
+            records, invalid = _records(header, body)
+            if records is not None:
                 with self._lock:
-                    self._foreign.add(path)
-                    self.stats.collisions += 1
-                    self.stats.misses += 1
-            else:
-                # No writer leaves a torn header (logs are published
-                # whole), so this is corruption: move it aside and let
-                # the next append start a fresh log.
-                moved = atomic_json.quarantine(path)
-                with self._lock:
-                    self.stats.misses += 1
-                    self.stats.quarantined += int(moved)
+                    self.stats.hits += 1
+                    self.stats.invalid += invalid
+                return records
+        elif newline and _names_a_context(first):
+            with self._lock:
+                self._foreign.add(path)
+                self.stats.collisions += 1
+                self.stats.misses += 1
             return None
-        records, invalid = _records(header, body)
+        # No writer leaves a torn header (logs are published whole) or
+        # a checksummed line of another shape, so this is corruption:
+        # move it aside and let the next append start a fresh log.
+        moved = atomic_json.quarantine(path)
         with self._lock:
-            self.stats.hits += 1
-            self.stats.invalid += invalid
-        return records
+            self.stats.misses += 1
+            self.stats.quarantined += int(moved)
+        return None
 
     def put(
         self, context: Dict[str, Any], size: int, path: Tuple, outcome: Tuple

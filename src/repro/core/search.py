@@ -188,10 +188,10 @@ class EvolutionaryTuner:
         )
         seeds = seed_configurations(compiled.training_info)
         if warm_seeds:
-            present = {seed_config.canonical_key() for seed_config in seeds}
+            present = set(seeds)
             for warm in warm_seeds:
-                if warm.canonical_key() not in present:
-                    present.add(warm.canonical_key())
+                if warm not in present:
+                    present.add(warm)
                     seeds.append(warm)
         self._plan = SearchPlan(
             training=compiled.training_info,

@@ -160,12 +160,11 @@ def seed_configurations(training: TrainingInfo) -> List[Configuration]:
     guarantees that coverage before mutation refines cutoffs and
     tunables.
     """
-    seeds = [default_configuration(training)]
+    default = default_configuration(training)
+    seeds = [default]
     for name, spec in sorted(training.selectors.items()):
         for algorithm in range(1, spec.num_algorithms):
-            config = default_configuration(training)
-            config.selectors[name] = Selector.constant(algorithm)
-            seeds.append(config)
+            seeds.append(default.with_selector(name, Selector.constant(algorithm)))
     return seeds
 
 
@@ -226,9 +225,10 @@ class SearchStrategy(abc.ABC):
         strategies call this whenever they (re)build their member set,
         so a subclass can reorder, filter or augment the initial
         candidates without re-implementing size bookkeeping.  Returned
-        configurations are fresh copies: strategies may mutate them.
+        configurations are the plan's own immutable seeds, shared by
+        every call, so each keys itself once per session.
         """
-        return [config.copy() for config in self.plan.seeds]
+        return list(self.plan.seeds)
 
     @abc.abstractmethod
     def propose(self, k: int) -> List[Proposal]:

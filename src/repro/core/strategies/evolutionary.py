@@ -234,9 +234,9 @@ class EvolutionaryStrategy(SearchStrategy):
         costs one run per seed per size at most.
         """
         self._size_index = index
-        present = {c.config.canonical_key() for c in self._population.members}
+        present = {c.config for c in self._population.members}
         for config in self.seed_population():
-            if config.canonical_key() not in present:
+            if config not in present:
                 self._population.add(Candidate(config=config))
         self._member_queue = list(self._population.members)
         self._phase = "members"
@@ -305,9 +305,7 @@ class EvolutionaryStrategy(SearchStrategy):
                 clamped = spec.clamp(neighbour)
                 if clamped == value:
                     continue
-                config = self._refine_current.config.copy()
-                config.tunables[name] = clamped
-                queue.append(config)
+                queue.append(self._refine_current.config.with_tunable(name, clamped))
             if queue:
                 self._refine_queue = queue
                 return

@@ -18,9 +18,9 @@ depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from repro.core.configuration import Configuration, default_configuration
+from repro.core.configuration import Configuration
 from repro.core.fitness import Evaluation
 from repro.core.population import Candidate
 from repro.core.selector import Selector
@@ -104,21 +104,19 @@ class RandomSearchStrategy(SearchStrategy):
         self._size_index = index
         size = self.plan.sizes[index]
         queue: List[Configuration] = []
-        seen = set()
+        seen: Set[Configuration] = set()
         if self._best is not None:
             queue.append(self._best.config)
-            seen.add(self._best.config.canonical_key())
+            seen.add(self._best.config)
         for config in self.seed_population():
-            key = config.canonical_key()
-            if key not in seen:
-                seen.add(key)
+            if config not in seen:
+                seen.add(config)
                 queue.append(config)
         for _ in range(self.plan.generations_at(size)):
             sample = self._sample()
-            key = sample.canonical_key()
-            if key in seen:
+            if sample in seen:
                 continue  # deterministic either way; skip wasted commits
-            seen.add(key)
+            seen.add(sample)
             queue.append(sample)
         self._queue = queue
         # A new size restarts the incumbent race: the previous winner
@@ -128,11 +126,11 @@ class RandomSearchStrategy(SearchStrategy):
     def _sample(self) -> Configuration:
         """One independent configuration sample."""
         training = self.plan.training
-        config = default_configuration(training)
-        for name, spec in sorted(training.selectors.items()):
-            config.selectors[name] = Selector.constant(
-                self._rng.randrange(spec.num_algorithms)
-            )
+        selectors = {
+            name: Selector.constant(self._rng.randrange(spec.num_algorithms))
+            for name, spec in sorted(training.selectors.items())
+        }
+        tunables = {name: spec.default for name, spec in training.tunables.items()}
         for name, spec in sorted(training.tunables.items()):
             if spec.cardinality <= 1:
                 continue
@@ -142,8 +140,10 @@ class RandomSearchStrategy(SearchStrategy):
                 )
             else:
                 value = self._rng.randint(spec.lo, spec.hi)
-            config.tunables[name] = value
-        return config
+            tunables[name] = value
+        return Configuration(
+            training.program_name, selectors, tunables, label="default"
+        )
 
     def _finish_size(self) -> None:
         if self._best is None:

@@ -35,11 +35,12 @@ def cpu_only_config(compiled: CompiledProgram, label: str = "CPU-only Config") -
     CPU backend, so the default configuration is exactly the CPU-only
     configuration.
     """
-    config = default_configuration(compiled.training_info, label=label)
-    for name in list(config.tunables):
-        if name.startswith("gpu_ratio_"):
-            config.tunables[name] = 0
-    return config
+    default = default_configuration(compiled.training_info, label=label)
+    tunables = {
+        name: 0 if name.startswith("gpu_ratio_") else value
+        for name, value in default.tunables.items()
+    }
+    return Configuration(default.program_name, default.selectors, tunables, label)
 
 
 def gpu_only_sort_config(
@@ -48,17 +49,18 @@ def gpu_only_sort_config(
     """The paper's hand-written bitonic-on-GPU Sort configuration."""
     if compiled.program.name != "Sort":
         raise ExperimentError("gpu_only_sort_config only applies to Sort")
-    config = default_configuration(compiled.training_info, label=label)
+    default = default_configuration(compiled.training_info, label=label)
+    selectors = dict(default.selectors)
     sort_in_place = compiled.transform("SortInPlace")
-    config.selectors["SortInPlace"] = Selector.constant(
+    selectors["SortInPlace"] = Selector.constant(
         sort_in_place.choice_index("bitonic_sort/opencl")
     )
     copy = compiled.transform("Copy")
     try:
-        config.selectors["Copy"] = Selector.constant(copy.choice_index("copy/opencl"))
+        selectors["Copy"] = Selector.constant(copy.choice_index("copy/opencl"))
     except KeyError:
         pass
-    return config
+    return Configuration(default.program_name, selectors, default.tunables, label)
 
 
 def handcoded_radix_sort_time(machine: MachineSpec, n: int) -> float:

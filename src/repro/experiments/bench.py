@@ -117,10 +117,10 @@ def _config_variant(compiled, index: int) -> Configuration:
     the Tridiagonal Solver at their bench sizes) answers every variant
     alike, so only a fresh evaluator keeps it from a decision-tree hit.
     """
-    config = default_configuration(compiled.training_info)
     spec = compiled.training_info.tunables["seq_par_cutoff"]
-    config.tunables["seq_par_cutoff"] = min(spec.hi, spec.default + index)
-    return config
+    return default_configuration(compiled.training_info).with_tunable(
+        "seq_par_cutoff", min(spec.hi, spec.default + index)
+    )
 
 
 def _bench_app(name: str, size: int, machine_name: str, repeats: int) -> Dict[str, float]:

@@ -54,32 +54,33 @@ def mapping_config(compiled: CompiledProgram, mapping: str) -> Configuration:
         ExperimentError: For unknown mapping names or when the machine
             lacks the required kernel variant.
     """
-    config = default_configuration(compiled.training_info, label=mapping)
+    default = default_configuration(compiled.training_info, label=mapping)
+    selectors = dict(default.selectors)
     top = compiled.transform("SeparableConvolution")
     suffix = "opencl_local" if "Localmem" in mapping else "opencl"
     try:
         if mapping.startswith("2D"):
-            config.selectors["SeparableConvolution"] = Selector.constant(
+            selectors["SeparableConvolution"] = Selector.constant(
                 top.choice_index("single_pass_2d")
             )
             conv2d = compiled.transform("Convolve2D")
-            config.selectors["Convolve2D"] = Selector.constant(
+            selectors["Convolve2D"] = Selector.constant(
                 conv2d.choice_index(f"direct/{suffix}")
             )
         elif mapping.startswith("Separable"):
-            config.selectors["SeparableConvolution"] = Selector.constant(
+            selectors["SeparableConvolution"] = Selector.constant(
                 top.choice_index("separable")
             )
             for name in ("ConvolveRows", "ConvolveColumns"):
                 compiled_t = compiled.transform(name)
-                config.selectors[name] = Selector.constant(
+                selectors[name] = Selector.constant(
                     compiled_t.choice_index(f"direct/{suffix}")
                 )
         else:
             raise ExperimentError(f"unknown mapping {mapping!r}")
     except KeyError as exc:
         raise ExperimentError(f"mapping {mapping!r} unavailable: {exc}") from exc
-    return config
+    return Configuration(default.program_name, selectors, default.tunables, mapping)
 
 
 @dataclass

@@ -112,11 +112,14 @@ class TestStrassen:
 
         compiled = compile_program(strassen.build_program(), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.selectors["MatMul"] = Selector(
-            cutoffs=(64 * 64 + 1,),
-            algorithms=(
-                compiled.transform("MatMul").choice_index("lapack/cpu"),
-                compiled.transform("MatMul").choice_index("strassen/cpu"),
+        config = config.with_selector(
+            "MatMul",
+            Selector(
+                cutoffs=(64 * 64 + 1,),
+                algorithms=(
+                    compiled.transform("MatMul").choice_index("lapack/cpu"),
+                    compiled.transform("MatMul").choice_index("strassen/cpu"),
+                ),
             ),
         )
         env = strassen.make_env(128, seed=2)

@@ -67,7 +67,7 @@ def test_every_choice_correct_on_desktop(name):
     compiled_t = compiled.transform(transform_name)
     for index in range(compiled_t.num_choices):
         config = default_configuration(compiled.training_info)
-        config.selectors[transform_name] = Selector.constant(index)
+        config = config.with_selector(transform_name, Selector.constant(index))
         env = spec.make_env(SMALL_SIZE[name], seed=3)
         run_program(compiled, config, env, seed=2)
         if spec.reference is not None:
@@ -97,7 +97,7 @@ def test_svd_accuracy_improves_with_rank():
     errors = []
     for rank in (4, 16, 64):
         config = default_configuration(compiled.training_info)
-        config.tunables["svd_rank"] = rank
+        config = config.with_tunable("svd_rank", rank)
         env = spec.make_env(64, seed=0)
         run_program(compiled, config, env)
         errors.append(spec.accuracy_fn(env))

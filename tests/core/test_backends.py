@@ -279,8 +279,9 @@ class TestEvaluateRequest:
         from repro.core.configuration import default_configuration
 
         twin = default_configuration(strassen_desktop.training_info)
-        other_twin = twin.copy()
-        other_twin.tunables["seq_par_cutoff"] += 1
+        other_twin = twin.with_tunable(
+            "seq_par_cutoff", twin.tunables["seq_par_cutoff"] + 1
+        )
         first, second = strassen_variants(strassen_desktop, 2)
         lanes = [first, twin, second, other_twin]
         simulated = []
@@ -462,11 +463,10 @@ def strassen_variants(compiled, count):
 
     base = default_configuration(compiled.training_info)
     choices = [choice.name for choice in compiled.transforms["MatMul"].exec_choices]
-    base.selectors["MatMul"] = Selector.constant(choices.index("naive/cpu"))
+    base = base.with_selector("MatMul", Selector.constant(choices.index("naive/cpu")))
     variants = []
     for cutoff in (1024, 512, 256, 128)[:count]:
-        config = base.copy()
-        config.tunables["seq_par_cutoff"] = cutoff
+        config = base.with_tunable("seq_par_cutoff", cutoff)
         variants.append(config)
     return variants
 

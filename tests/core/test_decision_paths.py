@@ -207,9 +207,8 @@ def strassen_pair(pin_naive: bool):
     base = default_configuration(compiled.training_info)
     if pin_naive:
         names = [choice.name for choice in compiled.transforms["MatMul"].exec_choices]
-        base.selectors["MatMul"] = Selector.constant(names.index("naive/cpu"))
-    other = base.copy()
-    other.tunables["seq_par_cutoff"] = 512
+        base = base.with_selector("MatMul", Selector.constant(names.index("naive/cpu")))
+    other = base.with_tunable("seq_par_cutoff", 512)
     return compiled, base, other
 
 

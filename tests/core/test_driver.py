@@ -310,6 +310,48 @@ class TestCheckpointResume:
             assert tuner.driver.stats.replayed == 0  # started over
         assert report_key(report) == report_key(uninterrupted)
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("journal", "{}"),
+            ("journal", "[]"),
+            ("journal", "not json"),
+            ("journal", '{"program": "x", "selectors": {"T": {}}}'),
+            ("report", "not json"),
+        ],
+    )
+    def test_malformed_configuration_in_a_checkpoint_starts_over(
+        self, tmp_path, uninterrupted, field, text
+    ):
+        """A checkpoint whose configuration text does not decode (the
+        first journal entry of a partial checkpoint, or the best of a
+        complete one) is ignored like any corrupt checkpoint: nothing is
+        restored or replayed, and the session starts over."""
+        store = CheckpointStore(str(tmp_path))
+        if field == "journal":
+            tuner = _interruptable_tuner(store, fail_after=90)
+            with pytest.raises(_Interrupted):
+                with tuner:
+                    tuner.tune()
+        else:
+            with _interruptable_tuner(store, fail_after=None) as tuner:
+                tuner.tune()
+        identity = tuner._driver._identity()
+        entry = store.load(identity)
+        if field == "journal":
+            assert not entry["complete"] and entry["journal"]
+            entry["journal"][0][0] = text
+        else:
+            assert entry["complete"]
+            entry["report"]["best"] = text
+        store.save(identity, entry)
+
+        with _interruptable_tuner(store, fail_after=None) as tuner:
+            report = tuner.tune()
+            assert tuner.driver.stats.replayed == 0
+            assert tuner.evaluator.evaluations > 0  # started over
+        assert report_key(report) == report_key(uninterrupted)
+
     def test_incompatible_strategy_state_restarts_cleanly(
         self, tmp_path, uninterrupted
     ):

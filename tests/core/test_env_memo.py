@@ -52,8 +52,7 @@ class TestEnvMemo:
         compiled, evaluator = _evaluator(_make_factory(calls))
         config = default_configuration(compiled.training_info)
         for cutoff in (16, 17, 18):
-            variant = config.copy()
-            variant.tunables["seq_par_cutoff"] = cutoff
+            variant = config.with_tunable("seq_par_cutoff", cutoff)
             evaluator.evaluate(variant, 64)
         assert calls == [64]
         evaluator.evaluate(config, 128)
@@ -78,9 +77,8 @@ class TestEnvMemo:
         compiled, evaluator = _evaluator(factory)
         config = default_configuration(compiled.training_info)
         evaluator.evaluate(config, 64)
-        splitty = config.copy()
-        splitty.tunables["split_Scale"] = 7
-        splitty.tunables["seq_par_cutoff"] = 16
+        splitty = config.with_tunable("split_Scale", 7)
+        splitty = splitty.with_tunable("seq_par_cutoff", 16)
         evaluator.evaluate(splitty, 64)
         # A third handout must still equal a from-scratch build.
         pristine = factory(64)
@@ -143,8 +141,7 @@ class TestBatchedHandout:
         config = default_configuration(compiled.training_info)
         variants = [config]
         for cutoff in (16, 17, 18):
-            variant = config.copy()
-            variant.tunables["seq_par_cutoff"] = cutoff
+            variant = config.with_tunable("seq_par_cutoff", cutoff)
             variants.append(variant)
         evaluator.compute_batch_flagged(variants, 64)
         # A post-batch handout must still equal a from-scratch build.
@@ -158,8 +155,7 @@ class TestBatchedHandout:
         config = default_configuration(compiled.training_info)
         variants = [config]
         for cutoff in (16, 18):
-            variant = config.copy()
-            variant.tunables["seq_par_cutoff"] = cutoff
+            variant = config.with_tunable("seq_par_cutoff", cutoff)
             variants.append(variant)
         batch = evaluator.compute_batch_flagged(variants, 64)[0]
         _, scalar = _evaluator(_make_factory([]))

@@ -56,7 +56,9 @@ class TestSelectorMutators:
     def test_remove_level_needs_cutoffs(self, config):
         mutator = SelectorRemoveLevel(SPEC)
         assert mutator.mutate(config, rng(), 100) is None
-        config.selectors["Stencil"] = Selector(cutoffs=(10,), algorithms=(0, 1))
+        config = config.with_selector(
+            "Stencil", Selector(cutoffs=(10,), algorithms=(0, 1))
+        )
         child = mutator.mutate(config, rng(), 100)
         assert child.selectors["Stencil"].levels == 1
 
@@ -73,7 +75,9 @@ class TestSelectorMutators:
         assert mutator.mutate(config, rng(), 100) is None
 
     def test_scale_cutoff(self, config):
-        config.selectors["Stencil"] = Selector(cutoffs=(64,), algorithms=(0, 1))
+        config = config.with_selector(
+            "Stencil", Selector(cutoffs=(64,), algorithms=(0, 1))
+        )
         mutator = SelectorScaleCutoff(SPEC)
         moved = 0
         for seed in range(10):

@@ -211,8 +211,7 @@ def test_parallel_evaluator_prefetch_does_not_change_accounting(compiled_stencil
         result_cache=ResultCache(None),
     ) as evaluator:
         base = default_configuration(compiled_stencil.training_info)
-        gpu = base.copy()
-        gpu.selectors["Stencil"] = Selector.constant(1)
+        gpu = base.with_selector("Stencil", Selector.constant(1))
         evaluator.prefetch([base, gpu], 1024)
         committed = evaluator.evaluate(base, 1024)
         assert evaluator.evaluations == 1

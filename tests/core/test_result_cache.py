@@ -41,7 +41,7 @@ def fresh_evaluator(compiled, cache: ResultCache) -> Evaluator:
 
 def gpu_config(compiled):
     config = default_configuration(compiled.training_info)
-    config.selectors["Stencil"] = Selector.constant(1)
+    config = config.with_selector("Stencil", Selector.constant(1))
     return config
 
 

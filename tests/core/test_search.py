@@ -68,7 +68,9 @@ class TestEvaluator:
     def test_tuning_time_accumulates_compiles(self, compiled):
         evaluator = Evaluator(compiled, env_factory)
         config = default_configuration(compiled.training_info)
-        config.selectors["Stencil"] = config.selectors["Stencil"].with_algorithm(0, 1)
+        config = config.with_selector(
+            "Stencil", config.selectors["Stencil"].with_algorithm(0, 1)
+        )
         evaluator.evaluate(config, 256)
         # OpenCL kernel compiles dominate small tests (Section 5.4).
         assert evaluator.tuning_time_s > 1.0

@@ -229,6 +229,23 @@ class TestStrategyBehaviour:
                 sample = strategy._sample()
                 sample.validate(training)  # must never raise
 
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_seed_population_shares_the_plan_seeds(self, strategy):
+        """Seeds are immutable, so every call hands out the plan's own
+        instances (each keys itself once per session), never copies."""
+        compiled = compile_program(make_stencil_program(5), DESKTOP)
+        with EvolutionaryTuner(
+            compiled, env_factory, max_size=2048, seed=3,
+            config=TunerConfig.resolve(strategy=strategy, resume=False),
+            result_cache=ResultCache(None),
+        ) as tuner:
+            strategy_object = tuner._driver.strategy
+            seeds = tuner._plan.seeds
+            for _ in range(2):
+                population = strategy_object.seed_population()
+                assert len(population) == len(seeds)
+                assert all(a is b for a, b in zip(population, seeds))
+
     def test_unknown_strategy_raises_at_construction(self):
         compiled = compile_program(make_stencil_program(5), DESKTOP)
         with pytest.raises(TuningError, match="unknown search strategy"):

@@ -71,19 +71,25 @@ class TestDescriptions:
 
     def test_describe_opencl_choice_includes_tunables(self, compiled):
         config = default_configuration(compiled.training_info)
-        config.selectors["Stencil"] = Selector.constant(
-            compiled.transform("Stencil").choice_index("direct/opencl")
+        config = config.with_selector(
+            "Stencil",
+            Selector.constant(
+                compiled.transform("Stencil").choice_index("direct/opencl")
+            ),
         )
-        config.tunables["gpu_ratio_Stencil"] = 6
+        config = config.with_tunable("gpu_ratio_Stencil", 6)
         text = describe_choice_at(compiled, config, "Stencil", 1000)
         assert "direct/opencl" in text
         assert "gpu 6/8" in text
 
     def test_describe_polyalgorithm_chain(self, compiled):
         config = default_configuration(compiled.training_info)
-        config.selectors["Stencil"] = Selector(
-            cutoffs=(256, 65536),
-            algorithms=(0, 1, 2),
+        config = config.with_selector(
+            "Stencil",
+            Selector(
+                cutoffs=(256, 65536),
+                algorithms=(0, 1, 2),
+            ),
         )
         text = describe_polyalgorithm(compiled, config, "Stencil", 10**6)
         assert "< 256: direct/cpu" in text

@@ -65,10 +65,13 @@ def gpu_config(compiled, *transform_names):
     config = default_configuration(compiled.training_info)
     for name in transform_names:
         compiled_t = compiled.transform(name)
-        config.selectors[name] = Selector.constant(
-            compiled_t.choice_index(
-                next(c.name for c in compiled_t.exec_choices if c.uses_opencl)
-            )
+        config = config.with_selector(
+            name,
+            Selector.constant(
+                compiled_t.choice_index(
+                    next(c.name for c in compiled_t.exec_choices if c.uses_opencl)
+                )
+            ),
         )
     return config
 

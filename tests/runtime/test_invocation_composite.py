@@ -178,11 +178,14 @@ class TestPolyalgorithmDispatch:
         compiled = compile_program(program, DESKTOP)
         compiled_t = compiled.transform("Pick")
         config = default_configuration(compiled.training_info)
-        config.selectors["Pick"] = Selector(
-            cutoffs=(100,),
-            algorithms=(
-                compiled_t.choice_index("small/cpu"),
-                compiled_t.choice_index("large/cpu"),
+        config = config.with_selector(
+            "Pick",
+            Selector(
+                cutoffs=(100,),
+                algorithms=(
+                    compiled_t.choice_index("small/cpu"),
+                    compiled_t.choice_index("large/cpu"),
+                ),
             ),
         )
         env = {"In": np.zeros(50), "Out": np.zeros(50)}

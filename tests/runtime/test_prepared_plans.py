@@ -33,18 +33,20 @@ APPS = (
 def _variants(training):
     """Configurations that exercise different lowering paths."""
     base = default_configuration(training)
-    splitty = base.copy("splitty")
+    splitty = base.relabelled("splitty")
     for name in training.tunables:
         if name.startswith("split_"):
-            splitty.tunables[name] = 7
+            splitty = splitty.with_tunable(name, 7)
         if name == "seq_par_cutoff":
-            splitty.tunables[name] = 16
-    flipped = base.copy("flipped")
+            splitty = splitty.with_tunable(name, 16)
+    flipped = base.relabelled("flipped")
     for name, spec in training.selectors.items():
-        flipped.selectors[name] = Selector.constant(spec.num_algorithms - 1)
+        flipped = flipped.with_selector(
+            name, Selector.constant(spec.num_algorithms - 1)
+        )
     for name, spec in training.tunables.items():
         if name.startswith("gpu_ratio_"):
-            flipped.tunables[name] = 5
+            flipped = flipped.with_tunable(name, 5)
     return (base, splitty, flipped)
 
 

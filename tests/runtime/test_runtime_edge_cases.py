@@ -24,7 +24,7 @@ class TestSelectorClamping:
         still run (the index is clamped, not crashed)."""
         compiled = compile_program(make_scale_program(2.0), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(99)
+        config = config.with_selector("Scale", Selector.constant(99))
         env = scale_env(100)
         run_program(compiled, config, env)
         np.testing.assert_allclose(env["Out"], 2.0 * env["In"][:100])
@@ -41,8 +41,8 @@ class TestDegenerateSizes:
     def test_more_chunks_than_rows(self):
         compiled = compile_program(make_scale_program(2.0), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.tunables["split_Scale"] = 256
-        config.tunables["seq_par_cutoff"] = 16
+        config = config.with_tunable("split_Scale", 256)
+        config = config.with_tunable("seq_par_cutoff", 16)
         env = scale_env(20)
         run_program(compiled, config, env)
         np.testing.assert_allclose(env["Out"], 2.0 * env["In"][:20])
@@ -50,7 +50,7 @@ class TestDegenerateSizes:
     def test_gpu_with_tiny_input(self):
         compiled = compile_program(make_scale_program(2.0), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(1)
+        config = config.with_selector("Scale", Selector.constant(1))
         env = scale_env(3)
         run_program(compiled, config, env)
         np.testing.assert_allclose(env["Out"], 2.0 * env["In"][:3])
@@ -97,8 +97,11 @@ class TestKernelRuleMisuse:
                               choices=(Choice(name="c", rule=rule),))
         compiled = compile_program(make_program("bad", [transform], "Bad"), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.selectors["Bad"] = Selector.constant(
-            compiled.transform("Bad").choice_index("c/opencl")
+        config = config.with_selector(
+            "Bad",
+            Selector.constant(
+                compiled.transform("Bad").choice_index("c/opencl")
+            ),
         )
         with pytest.raises(RuntimeFault):
             run_program(compiled, config, {"In": np.zeros(8), "Out": np.zeros(8)})
@@ -119,10 +122,13 @@ class TestIndivisibleOpenCL:
                               choices=(Choice(name="c", rule=rule),))
         compiled = compile_program(make_program("w", [transform], "Whole"), DESKTOP)
         config = default_configuration(compiled.training_info)
-        config.selectors["Whole"] = Selector.constant(
-            compiled.transform("Whole").choice_index("c/opencl")
+        config = config.with_selector(
+            "Whole",
+            Selector.constant(
+                compiled.transform("Whole").choice_index("c/opencl")
+            ),
         )
-        config.tunables["gpu_ratio_Whole"] = 3  # ignored: indivisible
+        config = config.with_tunable("gpu_ratio_Whole", 3)  # ignored: indivisible
         env = scale_env(64)
         result = run_program(compiled, config, env)
         np.testing.assert_allclose(env["Out"], 4.0 * env["In"][:64])

@@ -32,8 +32,11 @@ class TestEndToEnd:
     def test_scale_on_opencl(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(
-            compiled.transform("Scale").choice_index("direct/opencl")
+        config = config.with_selector(
+            "Scale",
+            Selector.constant(
+                compiled.transform("Scale").choice_index("direct/opencl")
+            ),
         )
         env = scale_env(1000)
         result = run_program(compiled, config, env)
@@ -51,8 +54,8 @@ class TestEndToEnd:
         compiled = compile_scale()
         for ratio in (1, 4, 7):
             config = default_configuration(compiled.training_info)
-            config.selectors["Scale"] = Selector.constant(1)
-            config.tunables["gpu_ratio_Scale"] = ratio
+            config = config.with_selector("Scale", Selector.constant(1))
+            config = config.with_tunable("gpu_ratio_Scale", ratio)
             env = scale_env(1000, seed=ratio)
             run_program(compiled, config, env)
             np.testing.assert_allclose(env["Out"], 3.0 * env["In"][:1000])
@@ -60,8 +63,8 @@ class TestEndToEnd:
     def test_ratio_zero_falls_back_to_cpu(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(1)
-        config.tunables["gpu_ratio_Scale"] = 0
+        config = config.with_selector("Scale", Selector.constant(1))
+        config = config.with_tunable("gpu_ratio_Scale", 0)
         env = scale_env(100)
         result = run_program(compiled, config, env)
         assert result.stats.kernel_launches == 0
@@ -81,7 +84,7 @@ class TestDeterminism:
     def test_different_worker_counts_change_time(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.tunables["split_Scale"] = 8
+        config = config.with_tunable("split_Scale", 8)
         env1 = scale_env(200_000)
         t1 = run_program(compiled, config, env1, worker_count=1).time_s
         env4 = scale_env(200_000)
@@ -93,8 +96,8 @@ class TestWorkStealing:
     def test_steals_happen_with_many_chunks(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.tunables["split_Scale"] = 64
-        config.tunables["seq_par_cutoff"] = 16
+        config = config.with_tunable("split_Scale", 64)
+        config = config.with_tunable("seq_par_cutoff", 16)
         env = scale_env(100_000)
         result = run_program(compiled, config, env)
         assert result.stats.steals > 0
@@ -102,7 +105,7 @@ class TestWorkStealing:
     def test_single_worker_never_steals(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.tunables["split_Scale"] = 16
+        config = config.with_tunable("split_Scale", 16)
         env = scale_env(100_000)
         result = run_program(compiled, config, env, worker_count=1)
         assert result.stats.steals == 0
@@ -111,10 +114,10 @@ class TestWorkStealing:
         """More chunks across more workers => shorter virtual time."""
         compiled = compile_scale()
         serial = default_configuration(compiled.training_info)
-        serial.tunables["split_Scale"] = 1
+        serial = serial.with_tunable("split_Scale", 1)
         parallel = default_configuration(compiled.training_info)
-        parallel.tunables["split_Scale"] = 8
-        parallel.tunables["seq_par_cutoff"] = 16
+        parallel = parallel.with_tunable("split_Scale", 8)
+        parallel = parallel.with_tunable("seq_par_cutoff", 16)
         t_serial = run_program(compiled, serial, scale_env(400_000)).time_s
         t_parallel = run_program(compiled, parallel, scale_env(400_000)).time_s
         assert t_parallel < t_serial
@@ -153,7 +156,7 @@ class TestCompileTimeAccounting:
     def test_compile_time_excluded_by_default(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(1)
+        config = config.with_selector("Scale", Selector.constant(1))
         env = scale_env(1000)
         result = run_program(compiled, config, env)
         assert result.stats.compile_seconds > 1.0
@@ -162,7 +165,7 @@ class TestCompileTimeAccounting:
     def test_compile_time_charged_when_requested(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(1)
+        config = config.with_selector("Scale", Selector.constant(1))
         env = scale_env(1000)
         result = run_program(compiled, config, env, charge_compile_in_run=True)
         assert result.time_s > 1.0
@@ -170,7 +173,7 @@ class TestCompileTimeAccounting:
     def test_warm_jit_shared_across_runs(self):
         compiled = compile_scale()
         config = default_configuration(compiled.training_info)
-        config.selectors["Scale"] = Selector.constant(1)
+        config = config.with_selector("Scale", Selector.constant(1))
         jit = DESKTOP.fresh_jit()
         run_program(compiled, config, scale_env(100), jit=jit)
         before = jit.total_compile_time_s
