@@ -285,11 +285,12 @@ class TunerConfig:
             :mod:`repro.core.strategies`).
         seed: Experiment seed (tuning and scheduling randomness).
         cache_dir: Cross-session evaluation cache directory (None
-            disables the disk layer; checkpoints live in its
-            ``checkpoints/`` subdirectory).
-        checkpoint_every: Commits between periodic session checkpoints
-            (0 disables periodic checkpointing).
-        resume: Resume checkpointed sessions.
+            disables the disk layer; finished sessions' reports live
+            in its ``checkpoints/`` subdirectory).
+        checkpoint_every: Commits between evaluation-log syncs (0: the
+            log syncs only when the evaluator closes).
+        resume: Serve a finished session's stored report; an
+            unfinished one reruns from the evaluation cache.
         retune: Route benchmark tuning through the incremental
             re-tuning path (:mod:`repro.artifacts.retune`): consult
             the derivation graph, serve byte-cached reports when every

@@ -137,9 +137,10 @@ class TuningJob:
         """Cancel the job if it has not started running yet.
 
         A job already tuning cannot be interrupted (the engine commits
-        work in deterministic order); enable checkpointing
-        (``config.cache_dir`` + ``config.resume``) to make killed
-        *processes* resumable instead.
+        work in deterministic order).  Set ``config.cache_dir`` to make
+        a killed *process* cheap to rerun instead: the rerun replays
+        every simulation the killed run logged, and ``config.resume``
+        also serves the reports of sessions that had finished.
 
         Returns:
             True when the job was cancelled before starting.

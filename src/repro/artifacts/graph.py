@@ -53,7 +53,8 @@ from repro.compiler.compile import CompiledProgram
 from repro.core.fitness import _callable_token
 
 #: Bump when the node layout or location grammar changes incompatibly.
-GRAPH_VERSION = 1
+#: Version 2 entries carry a checksum of their content.
+GRAPH_VERSION = 2
 
 
 @dataclass

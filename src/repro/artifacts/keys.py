@@ -33,10 +33,9 @@ the same conservative token as the evaluation cache
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict
 
+from repro.core import atomic_json
 from repro.core.fitness import (
     _callable_token,
     _feed_machine,
@@ -177,6 +176,4 @@ def digest_of(key: Dict[str, object]) -> str:
     every dependent node's key, so key changes chain through the graph
     without any dependent having to re-hash its transitive inputs.
     """
-    return hashlib.sha256(
-        json.dumps(key, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
+    return atomic_json.json_checksum(key)

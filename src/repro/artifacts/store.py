@@ -5,13 +5,16 @@
 
     <cache_dir>/graph/<sha256(location)[:32]>.json
 
-    {"key": <location>, "payload": <node payload>}
+    {"key": <location>, "payload": <node payload>, "checksum": <16 hex>}
 
 Files are published through :func:`repro.core.atomic_json.write` (a
 crash at any instant leaves the previous file or the complete new one)
-and corrupt ones are moved into ``graph/quarantine/``.  Transient write
-failures are retried with bounded backoff before being swallowed, and
-traffic is counted in :class:`~repro.core.result_cache.CacheStats`.
+and sealed with a checksum of their content
+(:func:`repro.core.atomic_json.sealed`); corrupt ones, a changed byte
+that still parses included, are moved into ``graph/quarantine/``.
+Transient write failures are retried with bounded backoff before being
+swallowed, and traffic is counted in
+:class:`~repro.core.result_cache.CacheStats`.
 
 Entries are keyed by a node's *location* — the stable identity of the
 derivation (program, machine, node name, size, seed) — and carry the
@@ -85,8 +88,9 @@ class DerivationStore:
     def get(self, key: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """The payload stored at location ``key``, or None.
 
-        Corrupt and unreadable files count as invalid misses and are
-        quarantined; a well-formed file for another location (two
+        Corrupt and unreadable files, and files whose checksum does not
+        match their content, count as invalid misses and are
+        quarantined; an intact file for another location (two
         locations sharing a truncated hash) is a collision.
         """
         if self._directory is None:
@@ -105,8 +109,10 @@ class DerivationStore:
         except (OSError, ValueError):
             self._reject_corrupt(path)
             return None
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("payload"), dict
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("payload"), dict)
+            or not atomic_json.intact(entry)
         ):
             self._reject_corrupt(path)
             return None
@@ -131,7 +137,7 @@ class DerivationStore:
         if self._directory is None:
             return
         try:
-            text = json.dumps({"key": key, "payload": payload})
+            text = atomic_json.sealed({"key": key, "payload": payload})
         except (TypeError, ValueError):
             with self._stats_lock:
                 self.stats.invalid += 1

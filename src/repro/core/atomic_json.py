@@ -3,10 +3,15 @@
 The result cache's decision-path logs, the derivation-graph store, the
 checkpoint store and the service daemon's queued-job backlog all write
 files here, and nothing else in the package renames, fsyncs or creates
-temp files.  The module owns five decisions:
+temp files.  The module owns six decisions:
 
 * **Where an entry lives**: :func:`entry_path` names a keyed entry by
   the first 32 hex digits of the SHA-256 of the key's canonical JSON.
+* **How an entry proves its content**: :func:`checksum` is the one
+  checksum of every store (:func:`json_checksum` of a JSON value's
+  canonical text).  :func:`sealed` adds a ``"checksum"`` field to a
+  JSON entry, and :func:`intact` checks it on read, so a changed byte
+  is caught even where the JSON still parses.
 * **How a file is published**: :func:`write` writes a temp file in the
   target directory, fsyncs it, ``os.replace``-s it into place and
   fsyncs the directory entry, so a crash at any instant leaves either
@@ -17,7 +22,8 @@ temp files.  The module owns five decisions:
   with its header already in it (a fsynced temp file ``os.link``-ed
   into place), so no reader or writer ever sees a log without one.
 * **When appends become durable**: :func:`sync` fsyncs logs and their
-  directories; callers choose when (at checkpoints and at close).
+  directories; callers choose when (every ``checkpoint_every`` commits
+  and at close).
 * **Where a corrupt file goes**: :func:`quarantine` moves it into a
   ``quarantine/`` directory beside it, inspectable and never re-read.
 
@@ -32,7 +38,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Iterable
+from typing import Any, Dict, Iterable
 
 from repro import faults
 
@@ -43,6 +49,34 @@ def entry_path(directory: str, key: Any, prefix: str = "") -> str:
         json.dumps(key, sort_keys=True).encode("utf-8")
     ).hexdigest()[:32]
     return os.path.join(directory, f"{prefix}{digest}.json")
+
+
+def checksum(data: bytes) -> str:
+    """The first 16 hex digits of the SHA-256 of ``data``."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def json_checksum(value: Any) -> str:
+    """:func:`checksum` of ``value``'s canonical (sorted-key) JSON."""
+    return checksum(json.dumps(value, sort_keys=True).encode("utf-8"))
+
+
+def sealed(entry: Dict[str, Any]) -> str:
+    """``entry`` as JSON text, its ``"checksum"`` field set to the
+    checksum of the canonical JSON of the rest of it."""
+    return json.dumps(dict(entry, checksum=_content_checksum(entry)))
+
+
+def intact(entry: Dict[str, Any]) -> bool:
+    """Whether a parsed :func:`sealed` entry still matches its
+    checksum; an entry without one never does."""
+    return entry.get("checksum") == _content_checksum(entry)
+
+
+def _content_checksum(entry: Dict[str, Any]) -> str:
+    return json_checksum(
+        {key: value for key, value in entry.items() if key != "checksum"}
+    )
 
 
 def write(path: str, text: str, point: str) -> bool:

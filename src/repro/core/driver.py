@@ -20,29 +20,31 @@ streaming pipeline over any :class:`~repro.core.strategies.base.SearchStrategy`:
 Checkpoint / resume
 ===================
 
-Long batch runs survive interruption: at quiescent points the driver
-makes the evaluation cache's records durable, serialises *(commit
-journal, strategy state)* to a checkpoint file under the cache
-directory (``checkpoints/`` subdirectory), and writes the finished
-report there when the session completes.  Resuming replays the journal
-through a fresh evaluator — pure outcomes come from the shared disk
-cache's decision trees, while the replay rebuilds the session JIT
-model and the deterministic counters commit by commit — then restores
-the strategy state and continues.  A resumed session's report is
-byte-identical to an uninterrupted run (only the
-``computed_evaluations`` wall-clock gauge may differ).  Checkpoints
+The evaluation log is the only checkpoint.  Every simulation is
+appended to the result cache's decision-path log as it happens, and
+every ``checkpoint_every`` commits the driver makes those appends
+durable (:meth:`~repro.core.result_cache.ResultCache.sync`).  Running a
+killed session again is an ordinary run from its start: the
+evaluator's decision trees, loaded from the log, serve every candidate
+the killed run already simulated, while the strategy, the session JIT
+model and the deterministic counters rebuild commit by commit.  The
+report is byte-identical to an uninterrupted run (only the
+``computed_evaluations`` wall-clock gauge differs).
+
+A finished session writes its report to a :class:`CheckpointStore`
+under the cache directory (``checkpoints/``); with ``resume`` on, a
+rerun serves that report without evaluating anything.  Stored reports
 are keyed by program fingerprint, machine, strategy, seed and plan, so
-a stale file from a different session can never be (mis)used.
+a file from a different session can never be (mis)used.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.api.config import DEFAULT_CHECKPOINT_EVERY
@@ -55,8 +57,9 @@ from repro.core.result_cache import execution_model_hash
 from repro.core.strategies.base import Proposal, SearchPlan, SearchStrategy
 from repro.errors import ConfigurationError, TuningError
 
-#: Bump when the checkpoint layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bump when the checkpoint layout changes incompatibly.  Version 2
+#: files hold finished reports only, each sealed with a checksum.
+CHECKPOINT_VERSION = 2
 
 #: Default speculative queue depth per evaluation worker.
 DEFAULT_INFLIGHT_PER_WORKER = 2
@@ -152,12 +155,12 @@ class DriverStats:
 
     Attributes:
         proposed: Proposals handed out by the strategy.
-        committed: Evaluations committed (== the report's journal).
+        committed: Evaluations committed.
         discarded: Proposals invalidated before commit.
         invalidations: Times the speculative tail was discarded.
         max_pending: Peak speculative queue depth.
-        checkpoints_written: Periodic checkpoints persisted.
-        replayed: Journal entries replayed during a resume.
+        checkpoints_written: Evaluation-log syncs made every
+            ``checkpoint_every`` commits.
     """
 
     proposed: int = 0
@@ -166,7 +169,6 @@ class DriverStats:
     invalidations: int = 0
     max_pending: int = 0
     checkpoints_written: int = 0
-    replayed: int = 0
 
 
 @dataclass
@@ -181,10 +183,12 @@ class CheckpointScanStats:
     Attributes:
         scanned: Candidate ``tune_*.json`` files examined.
         yielded: Complete, current, model-matched reports yielded.
-        unreadable: Truncated/unparseable/unopenable files.
+        unreadable: Truncated/unparseable/unopenable files, and files
+            whose checksum does not match their content.
         malformed: Parsed but structurally wrong (non-dict entry,
             missing identity/report dicts).
-        not_complete: Valid in-progress checkpoints (not an anomaly).
+        not_complete: Partial checkpoints that older versions left
+            (ignored; this version writes finished reports only).
         wrong_version: Complete but from another checkpoint layout.
         stale_model: Complete but hashed against different
             execution-model code.
@@ -200,12 +204,13 @@ class CheckpointScanStats:
 
 
 class CheckpointStore:
-    """Atomic, crash-safe JSON checkpoint files, one per session
-    identity.
+    """Finished sessions' reports, one atomic, crash-safe JSON file per
+    session identity, each sealed with a checksum of its content
+    (:func:`repro.core.atomic_json.sealed`).
 
     Args:
         directory: Checkpoint directory (created on first write).
-            ``None`` disables checkpointing entirely.
+            ``None`` disables the store entirely.
 
     Attributes:
         last_scan: The :class:`CheckpointScanStats` of the most recent
@@ -237,11 +242,12 @@ class CheckpointStore:
         return atomic_json.entry_path(self._directory, identity, prefix="tune_")
 
     def load(self, identity: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """The stored state for this identity (None on miss/corruption).
+        """The stored entry for this identity (None on miss/corruption).
 
-        A file that exists but cannot be parsed is moved aside into the
-        store's ``quarantine/`` subdirectory so the next :meth:`save`
-        starts from a clean slot and the broken bytes stay inspectable.
+        A file that exists but cannot be parsed, fails its checksum or
+        names another identity is moved aside into the store's
+        ``quarantine/`` subdirectory so the next :meth:`save` starts
+        from a clean slot and the broken bytes stay inspectable.
         """
         if self._directory is None:
             return None
@@ -254,40 +260,34 @@ class CheckpointStore:
         except (OSError, ValueError):
             atomic_json.quarantine(path)
             return None
-        if not isinstance(entry, dict) or entry.get("identity") != identity:
+        if (
+            not isinstance(entry, dict)
+            or not atomic_json.intact(entry)
+            or entry.get("identity") != identity
+        ):
             atomic_json.quarantine(path)
             return None
         return entry
 
     def save(self, identity: Dict[str, object], state: Dict[str, object]) -> None:
-        """Persist a checkpoint atomically and durably through
+        """Persist an entry atomically and durably through
         :func:`repro.core.atomic_json.write` (fault point
         ``checkpoint.save``).  One attempt; a failure is swallowed —
-        checkpoints accelerate recovery, they are never a correctness
+        a stored report only saves a rerun, it is never a correctness
         dependency.
 
         Durability matters here even though correctness does not: a
-        checkpoint that was renamed into place but never reached the
-        platter can reappear *truncated* after a power loss, which is
-        strictly worse than no checkpoint at all.
+        file that was renamed into place but never reached the platter
+        can reappear *truncated* after a power loss.
         """
         if self._directory is None:
             return
         entry = dict(state)
         entry["identity"] = identity
         entry["version"] = CHECKPOINT_VERSION
-        text = json.dumps(entry)
+        text = atomic_json.sealed(entry)
         try:
             atomic_json.write(self.path_for(identity), text, "checkpoint.save")
-        except OSError:
-            return
-
-    def clear(self, identity: Dict[str, object]) -> None:
-        """Drop the checkpoint for this identity (no-op when absent)."""
-        if self._directory is None:
-            return
-        try:
-            os.unlink(self.path_for(identity))
         except OSError:
             return
 
@@ -297,12 +297,12 @@ class CheckpointStore:
     ) -> Iterator[Tuple[Dict[str, object], Dict[str, object]]]:
         """Scan the store for completed sessions.
 
-        Yields ``(identity, report_payload)`` pairs for every complete
-        checkpoint of the current :data:`CHECKPOINT_VERSION` whose
-        execution-model hash still matches the running code — the same
-        staleness rules :meth:`load` applies on the single-identity
-        path, so a consumer can trust every yielded payload to
-        round-trip through
+        Yields ``(identity, report_payload)`` pairs for every complete,
+        intact checkpoint of the current :data:`CHECKPOINT_VERSION`
+        whose execution-model hash still matches the running code — the
+        same staleness and checksum rules :meth:`load` applies on the
+        single-identity path, so a consumer can trust every yielded
+        payload to round-trip through
         :func:`~repro.core.report.report_from_payload`.  The scan never
         raises; every file it skips is tallied by class in a
         :class:`CheckpointScanStats` — pass one in to collect counts,
@@ -351,6 +351,9 @@ class CheckpointStore:
             if identity.get("version") != CHECKPOINT_VERSION:
                 stats.wrong_version += 1
                 continue
+            if not atomic_json.intact(entry):
+                stats.unreadable += 1
+                continue
             if identity.get("model") != model:
                 stats.stale_model += 1
                 continue
@@ -373,11 +376,13 @@ class TuningDriver:
         inflight_per_worker: Speculative queue depth per evaluation
             worker (>= 2 keeps pooled backends saturated while results
             commit).
-        checkpoint_every: Commits between periodic checkpoints
-            (0 disables periodic checkpointing).
-        checkpoint_store: Where checkpoints live; ``None`` disables
-            checkpointing.
-        resume: Resume from a matching checkpoint when one exists.
+        checkpoint_every: Commits between evaluation-log syncs (0: the
+            log syncs only when the evaluator closes).
+        checkpoint_store: Where the finished report is stored;
+            ``None`` stores none.
+        resume: Serve this session's stored report when it already
+            finished.  An unfinished session always reruns from its
+            start, served by the evaluation log.
         progress: Per-round progress sink (one line per completed
             search round); ``None`` is silent.
         on_candidate: Observer called with a :class:`CandidateEvent`
@@ -414,8 +419,6 @@ class TuningDriver:
         self._progress = progress
         self._on_candidate = on_candidate
         self._on_round = on_round
-        self._journal: List[Tuple[str, int]] = []
-        self._commits_since_checkpoint = 0
         self._rounds_reported = 0
         self._report: Optional[TuningReport] = None
         self._closed = False
@@ -489,9 +492,11 @@ class TuningDriver:
             if not self._store.enabled:
                 _warn_resume_without_store()
             else:
-                restored = self._try_resume(identity, label)
-                if restored is not None:
-                    return restored
+                stored = self._stored_report(identity, label)
+                if stored is not None:
+                    return stored
+        result_cache = self._evaluator.result_cache
+        sync_every = self._checkpoint_every if result_cache.enabled else 0
         pending: Deque[Proposal] = deque()
         strategy = self._strategy
         while True:
@@ -513,28 +518,21 @@ class TuningDriver:
                     "proposed nothing with no evaluations outstanding"
                 )
             self._commit(pending.popleft(), pending)
-            if (
-                self._checkpoint_every
-                and self._store.enabled
-                and self._commits_since_checkpoint >= self._checkpoint_every
-            ):
-                while pending:  # drain to a quiescent point
-                    self._commit(pending.popleft(), pending)
-                self._write_checkpoint(identity)
+            if sync_every and self.stats.committed % sync_every == 0:
+                result_cache.sync()
+                self.stats.checkpoints_written += 1
         return self._finish(identity, label)
 
     def _commit(self, proposal: Proposal, pending: Deque[Proposal]) -> None:
         evaluation = self._evaluator.evaluate(proposal.config, proposal.size)
-        self._journal.append((proposal.config.canonical_key(), proposal.size))
         self.stats.committed += 1
-        self._commits_since_checkpoint += 1
         if self._on_candidate is not None:
             self._on_candidate(
                 CandidateEvent(
                     program=self._compiled.program.name,
                     machine=self._compiled.machine.codename,
                     strategy=self._strategy.name,
-                    config_key=self._journal[-1][0],
+                    config_key=proposal.config.canonical_key(),
                     size=proposal.size,
                     time_s=evaluation.time_s,
                     accuracy=evaluation.accuracy,
@@ -584,7 +582,7 @@ class TuningDriver:
         )
         return self._report
 
-    # -- checkpoint / resume -------------------------------------------
+    # -- stored reports ------------------------------------------------
 
     def _identity(self) -> Dict[str, object]:
         evaluator = self._evaluator
@@ -607,85 +605,28 @@ class TuningDriver:
             # (extra seed configs injected from a donor report) must not
             # share checkpoints with a cold one — or with a session warm
             # started from a *different* donor.
-            identity["warm_start"] = hashlib.sha256(
-                json.dumps(self._plan.warm_start, sort_keys=True).encode("utf-8")
-            ).hexdigest()[:16]
+            identity["warm_start"] = atomic_json.json_checksum(self._plan.warm_start)
         return identity
 
-    def _write_checkpoint(self, identity: Dict[str, object]) -> None:
-        # The journal about to be saved replays from the evaluation
-        # cache on resume, so its records become durable first.
-        self._evaluator.result_cache.sync()
-        self._store.save(
-            identity,
-            {
-                "complete": False,
-                "journal": [list(entry) for entry in self._journal],
-                "strategy_state": self._strategy.state_payload(),
-            },
-        )
-        self._commits_since_checkpoint = 0
-        self.stats.checkpoints_written += 1
-
-    def _try_resume(
+    def _stored_report(
         self, identity: Dict[str, object], label: str
     ) -> Optional[TuningReport]:
-        """Restore from a matching checkpoint.
-
-        Returns the finished report for complete checkpoints; for
-        partial ones, replays the commit journal (rebuilding the
-        deterministic accounting) and restores the strategy, then
-        returns None so ``run`` continues the search.
-        """
+        """This session's finished report from the store, or None when
+        there is none or it does not decode."""
         entry = self._store.load(identity)
-        if entry is None:
+        if entry is None or not entry.get("complete"):
             return None
-        if entry.get("complete"):
-            try:
-                report = report_from_payload(entry["report"])  # type: ignore[arg-type]
-            except (ConfigurationError, KeyError, TypeError, ValueError):
-                return None
-            report.best = report.best.relabelled(label)
-            self._report = report
-            self._emit(
-                f"[tune] {self._session_tag()} resumed finished session "
-                f"(evaluations={report.evaluations})"
-            )
-            return report
         try:
-            journal = [
-                (str(config_json), int(size))
-                for config_json, size in entry["journal"]  # type: ignore[union-attr]
-            ]
-            state = entry["strategy_state"]
-            # Decoded before anything is restored or replayed, so a
-            # malformed entry starts the session over untouched.
-            replay = [
-                (Configuration.from_json(config_json), size)
-                for config_json, size in journal
-            ]
+            report = report_from_payload(entry["report"])  # type: ignore[arg-type]
         except (ConfigurationError, KeyError, TypeError, ValueError):
             return None
-        try:
-            self._strategy.restore_state(state)  # type: ignore[arg-type]
-        except Exception:
-            # Incompatible state (older layout, custom strategy that
-            # rejects the payload): restore_state may have mutated the
-            # strategy field by field before raising, so rebuild a
-            # pristine one and start the session over.
-            self._strategy = type(self._strategy)(self._plan)
-            return None
-        for config, size in replay:
-            self._evaluator.evaluate(config, size)
-        self._journal = list(journal)
-        self.stats.replayed = len(journal)
-        self._rounds_reported = len(self._strategy.history)
+        report.best = report.best.relabelled(label)
+        self._report = report
         self._emit(
-            f"[tune] {self._session_tag()} resumed at "
-            f"{len(journal)} committed evaluations "
-            f"({self._rounds_reported} rounds done)"
+            f"[tune] {self._session_tag()} resumed finished session "
+            f"(evaluations={report.evaluations})"
         )
-        return None
+        return report
 
     # -- progress ------------------------------------------------------
 

@@ -42,7 +42,7 @@ class TuningReport:
             gauge, not part of the deterministic result: with
             speculative evaluation discarded work still simulates, so
             it may exceed ``evaluations`` and vary between runs (and
-            across checkpoint resumes).
+            across resumes of a killed session).
         strategy: Name of the search strategy that produced the report.
         seed: The randomness seed the search ran with.
         warm_start_from: Provenance of an incremental re-tune —

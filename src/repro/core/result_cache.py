@@ -56,11 +56,14 @@ Durability
 
 Appends are not fsynced one by one.  :meth:`ResultCache.sync` fsyncs
 every log the handle loaded or appended to that has grown since its
-last sync, then their directory; the tuning driver calls it at every
-checkpoint and evaluators call it when they close.  An fsync flushes
-the whole file, whoever wrote it, so a requester's sync also makes its
-pool workers' records durable.  A power loss drops at most the records
-written since the last sync, which only makes the cache colder.
+last sync, then their directory; the tuning driver calls it every
+``checkpoint_every`` commits and evaluators call it when they close.
+An fsync flushes the whole file, whoever wrote it, so a requester's
+sync also makes its pool workers' records durable.  A power loss drops
+at most the records written since the last sync, which only makes the
+cache colder.  A killed process loses nothing it appended: the log is
+all a killed tuning session leaves behind, and a rerun of the session
+replays from it.
 
 Invalidation rules
 ==================
@@ -208,7 +211,7 @@ def _header(context: Dict[str, Any]) -> bytes:
 
 
 def _checksum(header: bytes, record: bytes) -> bytes:
-    return hashlib.sha256(header + record).hexdigest()[:16].encode("ascii")
+    return atomic_json.checksum(header + record).encode("ascii")
 
 
 def _names_a_context(line: bytes) -> bool:

@@ -24,7 +24,7 @@ To add a strategy, subclass ``SearchStrategy`` (see its docstring for
 the propose/observe speculation contract) and call
 :func:`register_strategy`; the name becomes valid everywhere —
 ``--strategy=`` on the experiments CLI, the environment knob, session
-caches and checkpoints.
+caches and stored reports.
 """
 
 from __future__ import annotations

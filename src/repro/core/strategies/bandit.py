@@ -25,7 +25,7 @@ in-flight depths, like the evolutionary strategy.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.mutators import Mutator
 from repro.core.population import Candidate
@@ -69,22 +69,11 @@ class BanditStrategy(EvolutionaryStrategy):
         return (self._rng.getstate(), tuple(self._pulls), tuple(self._rewards))
 
     def _rewind(self, checkpoint: object) -> None:
-        rng_state, pulls, rewards = checkpoint  # type: ignore[misc]
-        self._rng.setstate(rng_state)
+        rng, pulls, rewards = checkpoint  # type: ignore[misc]
+        self._rng.setstate(rng)
         self._pulls = list(pulls)
         self._rewards = list(rewards)
 
     def _on_admitted(self, child: Candidate, size: int, extra: object) -> None:
         super()._on_admitted(child, size, extra)
         self._rewards[int(extra)] += 1.0  # type: ignore[arg-type]
-
-    def state_payload(self) -> Dict[str, object]:
-        payload = super().state_payload()
-        payload["pulls"] = list(self._pulls)
-        payload["rewards"] = list(self._rewards)
-        return payload
-
-    def restore_state(self, payload: Dict[str, object]) -> None:
-        super().restore_state(payload)
-        self._pulls = [int(p) for p in payload["pulls"]]  # type: ignore[union-attr]
-        self._rewards = [float(r) for r in payload["rewards"]]  # type: ignore[union-attr]

@@ -24,16 +24,6 @@ the checkpoint stored with the observed proposal keep their decision
 sequence bit-for-bit identical to a fully serial driver — see
 :class:`~repro.core.strategies.evolutionary.EvolutionaryStrategy`.
 
-Checkpointing
-=============
-
-At quiescent points (no outstanding proposals) the driver may call
-:meth:`SearchStrategy.state_payload` to serialise the strategy into
-JSON-safe primitives, and later :meth:`SearchStrategy.restore_state`
-on a freshly built strategy to continue a interrupted session.  The
-driver reconstructs evaluator accounting separately (by replaying its
-commit journal), so strategies only persist their own search state.
-
 Plugging in a new strategy
 ==========================
 
@@ -42,7 +32,10 @@ and register the class in
 :data:`repro.core.strategies.STRATEGIES` (or call
 :func:`repro.core.strategies.register_strategy`).  The constructor
 receives a :class:`SearchPlan`; everything else — backends, caching,
-checkpoints, progress reporting — is the driver's job.
+stored reports, progress reporting — is the driver's job.  A strategy
+never serialises its state: a killed session resumes by running again
+from its start, its evaluations served by the evaluation log, so a
+strategy only has to be deterministic in its seed.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.training_info import TrainingInfo
 from repro.core.configuration import Configuration, default_configuration
@@ -173,35 +166,6 @@ def fitness_time(evaluation: Evaluation) -> float:
     return evaluation.time_s if evaluation.feasible else float("inf")
 
 
-def encode_rng_state(state) -> list:
-    """``random.Random.getstate()`` as JSON-safe primitives."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-
-def decode_rng_state(payload) -> tuple:
-    """Inverse of :func:`encode_rng_state` (exact types restored)."""
-    version, internal, gauss_next = payload
-    return (int(version), tuple(int(word) for word in internal), gauss_next)
-
-
-def candidate_to_payload(candidate: Candidate) -> Dict[str, object]:
-    """Serialise one candidate (config + measured times) to JSON-safe
-    primitives; floats round-trip exactly through JSON."""
-    return {
-        "config": candidate.config.canonical_key(),
-        "times": {str(size): time for size, time in candidate.times.items()},
-    }
-
-
-def candidate_from_payload(payload: Dict[str, object]) -> Candidate:
-    """Inverse of :func:`candidate_to_payload`."""
-    candidate = Candidate(config=Configuration.from_json(str(payload["config"])))
-    for size, time in payload["times"].items():  # type: ignore[union-attr]
-        candidate.times[int(size)] = float(time)
-    return candidate
-
-
 class SearchStrategy(abc.ABC):
     """Abstract search strategy driven by a
     :class:`~repro.core.driver.TuningDriver`.
@@ -271,21 +235,6 @@ class SearchStrategy(abc.ABC):
         Raises:
             TuningError: When called before :attr:`finished`.
         """
-
-    # -- checkpointing -------------------------------------------------
-
-    @abc.abstractmethod
-    def state_payload(self) -> Dict[str, object]:
-        """Serialise the full search state as JSON-safe primitives.
-
-        Only called at quiescent points: every handed-out proposal has
-        been observed or discarded.
-        """
-
-    @abc.abstractmethod
-    def restore_state(self, payload: Dict[str, object]) -> None:
-        """Restore a state produced by :meth:`state_payload` (on a
-        freshly constructed strategy with the same plan)."""
 
     # -- shared helpers ------------------------------------------------
 

@@ -41,7 +41,7 @@ sterile draw after an admitted child was never counted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.fitness import Evaluation
 from repro.core.mutators import Mutator
@@ -51,10 +51,6 @@ from repro.core.strategies.base import (
     SearchPlan,
     SearchStrategy,
     StrategyResult,
-    candidate_from_payload,
-    candidate_to_payload,
-    decode_rng_state,
-    encode_rng_state,
     fitness_time,
 )
 from repro.errors import TuningError
@@ -367,82 +363,3 @@ class EvolutionaryStrategy(SearchStrategy):
 
     def _on_admitted(self, child: Candidate, size: int, extra: object) -> None:
         self._population.add(child)
-
-    # -- checkpoint serialisation ---------------------------------------
-
-    def state_payload(self) -> Dict[str, object]:
-        if self._outstanding:
-            raise TuningError(
-                "strategy state requested with proposals outstanding"
-            )
-        members = self._population.members
-        payload: Dict[str, object] = {
-            "strategy": self.name,
-            "phase": self._phase,
-            "size_index": self._size_index,
-            "history": list(self._history),
-            "rng": encode_rng_state(self._rng.getstate()),
-            "population": [candidate_to_payload(c) for c in members],
-            # Identity-based indices: equal-content duplicates can
-            # coexist in a population, and dataclass equality would
-            # collapse them.
-            "member_queue": [
-                next(i for i, m in enumerate(members) if m is c)
-                for c in self._member_queue
-            ],
-            "remaining": self._remaining,
-            "refine": {
-                "pass": self._refine_pass,
-                "index": self._refine_index,
-                "improved": self._refine_improved,
-                "current": (
-                    None
-                    if self._refine_current is None
-                    else candidate_to_payload(self._refine_current)
-                ),
-                "queue": [c.canonical_key() for c in self._refine_queue],
-            },
-            "finished": self._finished,
-        }
-        return payload
-
-    def restore_state(self, payload: Dict[str, object]) -> None:
-        if payload.get("strategy") != self.name:
-            raise TuningError(
-                f"checkpoint belongs to strategy {payload.get('strategy')!r}, "
-                f"not {self.name!r}"
-            )
-        from repro.core.configuration import Configuration
-
-        self._phase = str(payload["phase"])
-        self._size_index = int(payload["size_index"])  # type: ignore[arg-type]
-        self._history = [float(t) for t in payload["history"]]  # type: ignore[union-attr]
-        self._rng.setstate(decode_rng_state(payload["rng"]))
-        self._population = Population(self.plan.population_size)
-        for entry in payload["population"]:  # type: ignore[union-attr]
-            self._population.add(candidate_from_payload(entry))
-        members = self._population.members
-        self._member_queue = [
-            members[int(i)] for i in payload["member_queue"]  # type: ignore[union-attr]
-        ]
-        self._outstanding = 0
-        self._members_outstanding = 0
-        self._remaining = int(payload["remaining"])  # type: ignore[arg-type]
-        self._claimed = 0
-        self._sterile = 0
-        refine = payload["refine"]
-        self._refine_pass = int(refine["pass"])  # type: ignore[index]
-        self._refine_index = int(refine["index"])  # type: ignore[index]
-        self._refine_improved = bool(refine["improved"])  # type: ignore[index]
-        current = refine["current"]  # type: ignore[index]
-        self._refine_current = (
-            None if current is None else candidate_from_payload(current)
-        )
-        self._refine_queue = [
-            Configuration.from_json(str(text))
-            for text in refine["queue"]  # type: ignore[index]
-        ]
-        self._finished = bool(payload["finished"])
-        self._result = None
-        if self._finished:
-            self._finish_search()

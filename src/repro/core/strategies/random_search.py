@@ -18,7 +18,7 @@ depth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.configuration import Configuration
 from repro.core.fitness import Evaluation
@@ -29,10 +29,6 @@ from repro.core.strategies.base import (
     SearchPlan,
     SearchStrategy,
     StrategyResult,
-    candidate_from_payload,
-    candidate_to_payload,
-    decode_rng_state,
-    encode_rng_state,
     fitness_time,
 )
 from repro.errors import TuningError
@@ -154,50 +150,6 @@ class RandomSearchStrategy(SearchStrategy):
             self._enter_size(self._size_index + 1)
         else:
             self._finished = True
-            self._result = StrategyResult(
-                best=self._best,
-                best_time_s=self._best.time_at(size),
-                history=list(self._history),
-            )
-
-    # -- checkpoint serialisation ---------------------------------------
-
-    def state_payload(self) -> Dict[str, object]:
-        if self._outstanding:
-            raise TuningError(
-                "strategy state requested with proposals outstanding"
-            )
-        return {
-            "strategy": self.name,
-            "size_index": self._size_index,
-            "history": list(self._history),
-            "rng": encode_rng_state(self._rng.getstate()),
-            "best": None if self._best is None else candidate_to_payload(self._best),
-            "queue": [config.canonical_key() for config in self._queue],
-            "finished": self._finished,
-        }
-
-    def restore_state(self, payload: Dict[str, object]) -> None:
-        if payload.get("strategy") != self.name:
-            raise TuningError(
-                f"checkpoint belongs to strategy {payload.get('strategy')!r}, "
-                f"not {self.name!r}"
-            )
-        self._size_index = int(payload["size_index"])  # type: ignore[arg-type]
-        self._history = [float(t) for t in payload["history"]]  # type: ignore[union-attr]
-        self._rng.setstate(decode_rng_state(payload["rng"]))
-        best = payload["best"]
-        self._best = None if best is None else candidate_from_payload(best)
-        self._queue = [
-            Configuration.from_json(str(text))
-            for text in payload["queue"]  # type: ignore[union-attr]
-        ]
-        self._outstanding = 0
-        self._finished = bool(payload["finished"])
-        self._result = None
-        if self._finished:
-            size = self.plan.sizes[self._size_index]
-            assert self._best is not None
             self._result = StrategyResult(
                 best=self._best,
                 best_time_s=self._best.time_at(size),

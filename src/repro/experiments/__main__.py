@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments fig2 fig9            # a subset
     python -m repro.experiments --backend=process    # shard across processes
     python -m repro.experiments --strategy=hillclimb # swap the search
-    python -m repro.experiments --resume fig6        # continue a killed run
+    python -m repro.experiments --resume fig6        # rerun a killed run
     python -m repro.experiments config               # resolved TunerConfig
     python -m repro.experiments bench                # hot-path benchmark
     python -m repro.experiments bench --tier=tiny --check=benchmarks/perf/BENCH_baseline.json
@@ -50,10 +50,12 @@ Flags:
                                   pool width).
     --service-rate-limit=<n>      per-client submissions per minute
                                   inside the daemon (0 = unlimited).
-    --resume                      resume checkpointed tuning sessions
-                                  from the cache directory; resumed
-                                  reports are byte-identical to
-                                  uninterrupted runs.
+    --resume                      serve finished sessions' stored
+                                  reports from the cache directory;
+                                  unfinished ones rerun from its
+                                  evaluation log.  Reports are
+                                  byte-identical to uninterrupted
+                                  runs.
     --retune                      tune incrementally through the
                                   artifact derivation graph: clean
                                   graphs serve memoized reports, dirty
@@ -75,8 +77,8 @@ shows what actually resolved):
     REPRO_CACHE_DIR=<dir>         cross-session evaluation cache; a
                                   warm cache regenerates the tuning
                                   figures without re-simulating.
-                                  Session checkpoints live in its
-                                  ``checkpoints/`` subdirectory.
+                                  Finished sessions' reports live in
+                                  its ``checkpoints/`` subdirectory.
     REPRO_TUNER_BACKEND=<name>    same as --backend (the flag wins).
     REPRO_TUNER_STRATEGY=<name>   same as --strategy (the flag wins).
     REPRO_TUNER_RESUME=1          same as --resume.
@@ -85,7 +87,8 @@ shows what actually resolved):
                                   processes (default 4).
     REPRO_TUNER_WORKERS=<n>       speculative evaluation workers per
                                   tuner (default 1; results identical).
-    REPRO_TUNER_CHECKPOINT_EVERY=<n>  commits between checkpoints.
+    REPRO_TUNER_CHECKPOINT_EVERY=<n>  commits between evaluation-log
+                                  syncs (0: only at close).
     REPRO_CONFIG_FILE=<path>      same as --config-file.
     REPRO_CLUSTER_ADDRESS=<a>     same as --cluster-address.
     REPRO_CLUSTER_WORKERS=<n>     same as --cluster-workers.

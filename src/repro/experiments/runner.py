@@ -247,9 +247,9 @@ def _tune_shard(
     choices without consulting their own environment.  Opens this
     shard's own :class:`ResultCache` handle on the shared directory —
     concurrent shards merge through the cache's log appends, never
-    through shared state.  Checkpoints written by the shard land in
-    the shared ``config.cache_dir``-derived store, so a killed batch
-    resumes no matter which shard a session lands on next time.  The
+    through shared state.  The shard's log records and finished
+    reports land in the shared ``config.cache_dir``, so a killed batch
+    replays no matter which shard a session lands on next time.  The
     returned :class:`~repro.core.result_cache.CacheStats` counters let
     the parent fold the shard's hits/misses/quarantines into its own
     handle — a sharded batch reports the same totals as a threaded
@@ -350,7 +350,8 @@ def _tune_many_process(
     — cheap next to tuning) and installs it in the process-wide
     session cache before releasing the claim.  Shard cache counters
     are folded into ``result_cache`` (when the caller shares a handle)
-    so batch-level cache accounting survives the process hop.
+    so batch-level cache accounting survives the process hop; a single
+    claimed pair tunes in this process on ``result_cache`` itself.
     """
     strategy_name = config.strategy
     claimed, held = _claim_missing(resolved, seed, strategy_name)
@@ -360,7 +361,7 @@ def _tune_many_process(
         shard_count = min(worker_count, len(claimed))
         if len(claimed) == 1:
             name, machine = claimed[0]
-            session = _tune_one(name, machine, seed, config)
+            session = _tune_one(name, machine, seed, config, result_cache)
             with _SESSIONS_LOCK:
                 _SESSIONS.setdefault(
                     (name, machine.codename, seed, strategy_name), session
@@ -416,10 +417,12 @@ def run_batch(
     concurrency changes wall-clock time only.  Sessions land in the
     same process-wide cache :func:`session_for` uses.
 
-    With ``config.resume`` and a ``config.cache_dir`` set, each
-    session checkpoints its search state periodically and on
-    completion; a killed batch picks up where it left off on the next
-    call, with byte-identical final reports.
+    With a ``config.cache_dir`` set, every simulation lands in the
+    evaluation log and each finished session stores its report, so a
+    killed batch rerun on the same directory replays what it had
+    simulated from the log (and, with ``config.resume``, serves the
+    finished sessions' stored reports), with byte-identical final
+    reports.
 
     Args:
         pairs: (benchmark name, machine or machine codename) pairs;

@@ -127,6 +127,28 @@ class TestColdAndClean:
         assert seen == []  # no tuner ever ran
         assert _payload_bytes(second.report) == _payload_bytes(first.report)
 
+    def test_a_changed_digit_in_the_report_node_is_not_served(self, tmp_path):
+        """One changed digit of the stored report's ``best_time_s``
+        still parses, but no longer matches the node file's checksum:
+        the graph is dirty, and the session tunes again (from the
+        evaluation log) instead of serving the changed time."""
+        config = _config(tmp_path)
+        first = retune_session(APP, DESKTOP, 1, config)
+        (path,) = [
+            path
+            for path in (tmp_path / "graph").glob("*.json")
+            if '"best_time_s": ' in path.read_text()
+        ]
+        text = path.read_text()
+        at = text.index('"best_time_s": ') + len('"best_time_s": ')
+        path.write_text(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :])
+        clear_sessions()
+        second = retune_session(APP, DESKTOP, 1, config)
+        assert not second.clean and not second.warm_started
+        assert second.sync.frontier == ["report"]
+        assert _payload_bytes(second.report) == _payload_bytes(first.report)
+        assert (tmp_path / "graph" / "quarantine" / path.name).exists()
+
 
 class TestWarmStart:
     def test_edited_rule_retunes_only_affected_sites(self, template, tmp_path):

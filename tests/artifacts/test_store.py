@@ -79,6 +79,20 @@ class TestQuarantine:
         pen = os.path.join(str(tmp_path), "graph", "quarantine")
         assert os.listdir(pen) == [os.path.basename(path)]
 
+    def test_a_changed_byte_that_still_parses_is_quarantined(self, tmp_path):
+        """The file still parses with one digit changed; its checksum
+        no longer matches its content, so it is corrupt, not served."""
+        store = DerivationStore.for_cache_dir(str(tmp_path))
+        store.put(LOCATION, dict(PAYLOAD, report={"best_time_s": 0.5}))
+        path = store._path_for(LOCATION)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace('"best_time_s": 0.5', '"best_time_s": 0.6'))
+        assert store.get(LOCATION) is None
+        assert store.stats.invalid == 1
+        assert store.stats.quarantined == 1
+
 
 class TestFaultInjection:
     def test_graph_put_point_retries_transient_oserror(self, tmp_path):

@@ -1,18 +1,27 @@
 """Tests for the asynchronous tuning driver: scheduling, lifecycle,
-checkpoint/resume and progress reporting."""
+resuming killed sessions from the evaluation log, stored reports and
+progress reporting."""
 
 from __future__ import annotations
 
+import glob
+import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.api import Session, tune_program
 from repro.api.config import TunerConfig
 from repro.apps.registry import benchmark, canonical_env_factory
 from repro.compiler.compile import compile_program
 from repro.core.driver import CheckpointStore, TuningDriver
 from repro.core.parallel import ParallelEvaluator
+from repro.core.report import report_to_payload
 from repro.core.result_cache import ResultCache
 from repro.core.search import EvolutionaryTuner, TuningReport
 from repro.errors import TuningError
@@ -28,10 +37,16 @@ def env_factory(n):
     return scale_env(n, seed=1)
 
 
-def make_tuner(checkpoint_store=None, result_cache=None, **config_overrides):
+def make_tuner(
+    checkpoint_store=None, result_cache=None, on_candidate=None, **config_overrides
+):
+    """A SeparableConv. tuner.  Its evaluation log and stored reports
+    live in ``config_overrides["cache_dir"]``; without one, neither is
+    kept."""
     spec = benchmark(APP)
     compiled = compile_program(spec.build_program(), DESKTOP)
     config_overrides.setdefault("resume", False)
+    cache_dir = config_overrides.get("cache_dir")
     return EvolutionaryTuner(
         compiled,
         canonical_env_factory(APP),
@@ -40,8 +55,15 @@ def make_tuner(checkpoint_store=None, result_cache=None, **config_overrides):
         accuracy_fn=spec.accuracy_fn,
         accuracy_target=spec.accuracy_target,
         config=TunerConfig.resolve(**config_overrides),
-        result_cache=result_cache if result_cache is not None else ResultCache(None),
-        checkpoint_store=checkpoint_store,
+        result_cache=(
+            result_cache if result_cache is not None else ResultCache(cache_dir)
+        ),
+        checkpoint_store=(
+            checkpoint_store
+            if checkpoint_store is not None
+            else CheckpointStore.for_cache_dir(cache_dir)
+        ),
+        on_candidate=on_candidate,
     )
 
 
@@ -112,13 +134,16 @@ class TestScheduling:
         assert driver.stats.max_pending >= 2 * workers
 
     def test_driver_stats_track_the_pipeline(self):
-        tuner = make_tuner(workers=4, backend="thread")
+        events = []
+        tuner = make_tuner(workers=4, backend="thread", on_candidate=events.append)
         try:
             report = tuner.tune()
         finally:
             tuner.close()
         stats = tuner.driver.stats
-        assert stats.committed == len(tuner.driver._journal)
+        assert [event.committed for event in events] == list(
+            range(1, stats.committed + 1)
+        )
         assert stats.proposed == stats.committed + stats.discarded
         # The evolutionary strategy admits children, each admission
         # discarding the speculative tail.
@@ -147,12 +172,6 @@ class TestScheduling:
 
             def result(self):
                 raise AssertionError
-
-            def state_payload(self):
-                return {}
-
-            def restore_state(self, payload):
-                pass
 
         planner = make_tuner(backend="serial")
         plan = planner._plan
@@ -211,13 +230,26 @@ class _Interrupted(Exception):
     pass
 
 
-def _interruptable_tuner(store, fail_after, backend="serial", workers=1):
+def _interruptable_tuner(
+    cache_dir,
+    fail_after,
+    backend="serial",
+    workers=1,
+    strategy="evolutionary",
+    resume=True,
+    on_candidate=None,
+):
+    """A tuner keeping its log and stored report in ``cache_dir``,
+    whose commit number ``fail_after + 1`` raises as a kill mid-search
+    would (``None``: it never does)."""
     tuner = make_tuner(
         backend=backend,
         workers=workers,
-        checkpoint_store=store,
+        strategy=strategy,
+        cache_dir=str(cache_dir),
         checkpoint_every=16,
-        resume=True,
+        resume=resume,
+        on_candidate=on_candidate,
     )
     if fail_after is not None:
         evaluator = tuner.evaluator
@@ -234,147 +266,262 @@ def _interruptable_tuner(store, fail_after, backend="serial", workers=1):
     return tuner
 
 
+def _changed_digit(text: str, field: str) -> str:
+    """``text`` with the first digit of a JSON number field changed."""
+    at = text.index(f'"{field}": ') + len(f'"{field}": ')
+    return text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1 :]
+
+
+def _payload_bytes(report: TuningReport) -> str:
+    """A report's canonical bytes, without the ``computed_evaluations``
+    gauge."""
+    payload = report_to_payload(report)
+    payload.pop("computed_evaluations")
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted():
+    """Each strategy's uninterrupted serial session with the disk cache
+    off: its report and its committed evaluations."""
+    runs = {}
+
+    def run(strategy="evolutionary"):
+        if strategy not in runs:
+            with make_tuner(backend="serial", strategy=strategy) as tuner:
+                report = tuner.tune()
+            runs[strategy] = (report, tuner.driver.stats.committed)
+        return runs[strategy]
+
+    return run
+
+
 class TestCheckpointResume:
-    @pytest.fixture(scope="class")
-    def uninterrupted(self):
-        return tune_program(
-            compile_program(benchmark(APP).build_program(), DESKTOP),
-            canonical_env_factory(APP),
-            max_size=APP_SIZE,
-            seed=1,
-            accuracy_fn=benchmark(APP).accuracy_fn,
-            accuracy_target=benchmark(APP).accuracy_target,
-            config=TunerConfig.resolve(backend="serial", resume=False),
-            result_cache=ResultCache(None),
-        )
-
-    @pytest.mark.parametrize("resume_backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize(
+        "strategy, resume_backend",
+        [
+            ("evolutionary", "serial"),
+            ("hillclimb", "serial"),
+            ("random", "serial"),
+            ("bandit", "serial"),
+            ("evolutionary", "thread"),
+            ("evolutionary", "process"),
+        ],
+    )
     def test_killed_session_resumes_byte_identical(
-        self, tmp_path, uninterrupted, resume_backend
+        self, tmp_path, uninterrupted, strategy, resume_backend
     ):
-        """Kill a session mid-search; resuming — on any backend — must
-        produce the byte-identical report of an uninterrupted run."""
-        store = CheckpointStore(str(tmp_path))
-        tuner = _interruptable_tuner(store, fail_after=90)
+        """Kill a session mid-search and run it again on the same cache
+        directory, on any backend: the report is byte-identical to an
+        uninterrupted run's.  The killed run leaves its evaluation log
+        and nothing under ``checkpoints/``; on serial the two runs
+        together simulate exactly what the uninterrupted one did."""
+        report, committed = uninterrupted(strategy)
+        killed = _interruptable_tuner(
+            tmp_path, fail_after=committed // 2, strategy=strategy
+        )
         with pytest.raises(_Interrupted):
-            with tuner:
-                tuner.tune()
-        files = os.listdir(tmp_path)
-        assert files, "no checkpoint was written before the kill"
+            with killed:
+                killed.tune()
+        assert glob.glob(str(tmp_path / "*.log")), "the killed run left no log"
+        assert glob.glob(str(tmp_path / "checkpoints" / "*")) == []
 
+        events = []
         workers = 2 if resume_backend != "serial" else 1
         with _interruptable_tuner(
-            store, fail_after=None, backend=resume_backend, workers=workers
+            tmp_path,
+            fail_after=None,
+            backend=resume_backend,
+            workers=workers,
+            strategy=strategy,
+            on_candidate=events.append,
         ) as resumed_tuner:
             resumed = resumed_tuner.tune()
-            assert resumed_tuner.driver.stats.replayed > 0
-        assert report_key(resumed) == report_key(uninterrupted)
+        assert _payload_bytes(resumed) == _payload_bytes(report)
+        # Observers see the whole session, numbered from the first commit.
+        assert [event.committed for event in events] == list(
+            range(1, committed + 1)
+        )
+        if resume_backend == "serial":
+            assert (
+                killed.evaluator.computed_evaluations
+                + resumed.computed_evaluations
+                == report.computed_evaluations
+            )
+
+    def test_sigkilled_process_resumes_from_its_log(self, tmp_path):
+        """SIGKILL a process tuning Sort once its log holds 20 records:
+        tuning the session again, with ``resume`` off, gives the
+        uninterrupted report and simulates only what the log lacks."""
+        size = 16384
+        spec = benchmark("Sort")
+        compiled = compile_program(spec.build_program(), DESKTOP)
+
+        def tune(config):
+            return tune_program(
+                compiled,
+                canonical_env_factory("Sort"),
+                max_size=size,
+                seed=1,
+                accuracy_fn=spec.accuracy_fn,
+                accuracy_target=spec.accuracy_target,
+                config=config,
+            )
+
+        fields = dict(
+            backend="serial", workers=1, strategy="evolutionary",
+            resume=False, progress=False,
+        )
+        # On a cold cache of its own, so it counts every simulation.
+        uninterrupted = tune(
+            TunerConfig.resolve(**fields, cache_dir=str(tmp_path / "cold"))
+        )
+
+        cache_dir = tmp_path / "cache"
+        env = dict(os.environ)
+        env.pop("REPRO_FAULTS", None)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (src, env.get("PYTHONPATH")) if part
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SORT_CHILD, str(cache_dir), str(size)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+        )
+        deadline = time.monotonic() + 300
+        try:
+            while child.poll() is None:
+                if _logged_records(cache_dir) >= 20:
+                    os.kill(child.pid, signal.SIGKILL)
+                    break
+                if time.monotonic() > deadline:
+                    pytest.fail("the child logged under 20 records in 300 s")
+                time.sleep(0.005)
+            child.wait(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        if child.returncode == -signal.SIGKILL:
+            assert glob.glob(str(cache_dir / "checkpoints" / "*")) == []
+        else:
+            assert child.returncode == 0  # finished before the kill
+        logged = _logged_records(cache_dir)
+        assert logged >= 20
+
+        resumed = tune(TunerConfig.resolve(**fields, cache_dir=str(cache_dir)))
+        assert _payload_bytes(resumed) == _payload_bytes(uninterrupted)
+        assert resumed.computed_evaluations == (
+            uninterrupted.computed_evaluations - logged
+        )
 
     def test_completed_session_resumes_from_final_checkpoint(
         self, tmp_path, uninterrupted
     ):
-        store = CheckpointStore(str(tmp_path))
-        with _interruptable_tuner(store, fail_after=None) as tuner:
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             first = tuner.tune()
-        with _interruptable_tuner(store, fail_after=None) as tuner:
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             replayed = tuner.tune()
-            # A finished checkpoint restores the report without
+            # A finished session's stored report is served without
             # committing a single evaluation.
             assert tuner.evaluator.evaluations == 0
         assert report_key(replayed) == report_key(first)
-        assert report_key(replayed) == report_key(uninterrupted)
+        assert report_key(replayed) == report_key(uninterrupted()[0])
 
     def test_resume_off_ignores_checkpoints(self, tmp_path, uninterrupted):
-        store = CheckpointStore(str(tmp_path))
-        with _interruptable_tuner(store, fail_after=None) as tuner:
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             tuner.tune()
-        fresh = make_tuner(
-            backend="serial", checkpoint_store=store, resume=False
-        )
-        with fresh:
+        with _interruptable_tuner(tmp_path, fail_after=None, resume=False) as fresh:
             report = fresh.tune()
-            assert fresh.driver.stats.replayed == 0
-            assert fresh.evaluator.evaluations > 0
-        assert report_key(report) == report_key(uninterrupted)
+            assert fresh.evaluator.evaluations > 0  # tuned again...
+            assert fresh.evaluator.computed_evaluations == 0  # ...from the log
+        assert report_key(report) == report_key(uninterrupted()[0])
 
     def test_corrupt_checkpoint_is_ignored(self, tmp_path, uninterrupted):
-        store = CheckpointStore(str(tmp_path))
-        tuner = _interruptable_tuner(store, fail_after=90)
-        with pytest.raises(_Interrupted):
-            with tuner:
-                tuner.tune()
-        for name in os.listdir(tmp_path):
-            (tmp_path / name).write_text("{ not json")
-        with _interruptable_tuner(store, fail_after=None) as tuner:
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
+            tuner.tune()
+        checkpoints = tmp_path / "checkpoints"
+        names = sorted(os.listdir(checkpoints))
+        assert names
+        for name in names:
+            (checkpoints / name).write_text("{ not json")
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             report = tuner.tune()
-            assert tuner.driver.stats.replayed == 0  # started over
-        assert report_key(report) == report_key(uninterrupted)
-
-    @pytest.mark.parametrize(
-        "field, text",
-        [
-            ("journal", "{}"),
-            ("journal", "[]"),
-            ("journal", "not json"),
-            ("journal", '{"program": "x", "selectors": {"T": {}}}'),
-            ("report", "not json"),
-        ],
-    )
-    def test_malformed_configuration_in_a_checkpoint_starts_over(
-        self, tmp_path, uninterrupted, field, text
-    ):
-        """A checkpoint whose configuration text does not decode (the
-        first journal entry of a partial checkpoint, or the best of a
-        complete one) is ignored like any corrupt checkpoint: nothing is
-        restored or replayed, and the session starts over."""
-        store = CheckpointStore(str(tmp_path))
-        if field == "journal":
-            tuner = _interruptable_tuner(store, fail_after=90)
-            with pytest.raises(_Interrupted):
-                with tuner:
-                    tuner.tune()
-        else:
-            with _interruptable_tuner(store, fail_after=None) as tuner:
-                tuner.tune()
-        identity = tuner._driver._identity()
-        entry = store.load(identity)
-        if field == "journal":
-            assert not entry["complete"] and entry["journal"]
-            entry["journal"][0][0] = text
-        else:
-            assert entry["complete"]
-            entry["report"]["best"] = text
-        store.save(identity, entry)
-
-        with _interruptable_tuner(store, fail_after=None) as tuner:
-            report = tuner.tune()
-            assert tuner.driver.stats.replayed == 0
             assert tuner.evaluator.evaluations > 0  # started over
-        assert report_key(report) == report_key(uninterrupted)
+        assert report_key(report) == report_key(uninterrupted()[0])
+        assert sorted(os.listdir(checkpoints / "quarantine")) == names
 
-    def test_incompatible_strategy_state_restarts_cleanly(
+    def test_a_changed_digit_in_a_stored_report_is_not_served(
         self, tmp_path, uninterrupted
     ):
-        """A checkpoint whose strategy state no longer restores (older
-        layout, missing keys) must yield a pristine fresh session, not
-        a half-restored strategy."""
-        store = CheckpointStore(str(tmp_path))
-        tuner = _interruptable_tuner(store, fail_after=None)
-        identity = tuner._driver._identity()
-        store.save(
-            identity,
-            {
-                "complete": False,
-                "journal": [],
-                # Valid JSON, right strategy name, missing every other
-                # key: restore_state raises after mutating some fields.
-                "strategy_state": {"strategy": "evolutionary", "phase": "members"},
-            },
-        )
-        with tuner:
+        """One changed digit of a finished report's ``best_time_s``
+        still parses, but no longer matches the file's checksum: the
+        rerun tunes again instead of serving the changed time."""
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
+            tuner.tune()
+        (path,) = glob.glob(str(tmp_path / "checkpoints" / "tune_*.json"))
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_changed_digit(text, "best_time_s"))
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             report = tuner.tune()
-            assert tuner.driver.stats.replayed == 0
-        assert report_key(report) == report_key(uninterrupted)
+            assert tuner.evaluator.evaluations > 0
+        assert report_key(report) == report_key(uninterrupted()[0])
+
+    @pytest.mark.parametrize(
+        "text", ["not json", '{"program": "x", "selectors": {"T": {}}}']
+    )
+    def test_malformed_configuration_in_a_checkpoint_starts_over(
+        self, tmp_path, uninterrupted, text
+    ):
+        """A finished report whose best configuration does not decode is
+        ignored like any corrupt checkpoint, though its checksum holds:
+        the session tunes again."""
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
+            tuner.tune()
+        store = CheckpointStore.for_cache_dir(str(tmp_path))
+        identity = tuner._driver._identity()
+        entry = store.load(identity)
+        assert entry["complete"]
+        entry["report"]["best"] = text
+        store.save(identity, entry)
+        assert store.load(identity)["report"]["best"] == text
+
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
+            report = tuner.tune()
+            assert tuner.evaluator.evaluations > 0  # started over
+        assert report_key(report) == report_key(uninterrupted()[0])
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 16])
+    def test_the_log_syncs_every_checkpoint_every_commits(
+        self, tmp_path, checkpoint_every
+    ):
+        syncs = []
+
+        class Counting(ResultCache):
+            def sync(self):
+                syncs.append(self.directory)
+                super().sync()
+
+        with make_tuner(
+            backend="serial",
+            cache_dir=str(tmp_path),
+            checkpoint_every=checkpoint_every,
+            result_cache=Counting(str(tmp_path)),
+        ) as tuner:
+            tuner.tune()
+            stats = tuner.driver.stats
+            expected = stats.committed // checkpoint_every if checkpoint_every else 0
+            assert stats.checkpoints_written == expected
+            assert len(syncs) == expected
+        assert len(syncs) == expected + 1  # the evaluator's close
+
+    def test_without_a_log_nothing_syncs(self):
+        with make_tuner(backend="serial", checkpoint_every=1) as tuner:
+            tuner.tune()
+            assert tuner.driver.stats.checkpoints_written == 0
 
     def test_resume_without_store_warns_once(self, monkeypatch, capsys):
         import repro.core.driver as driver_module
@@ -388,17 +535,12 @@ class TestCheckpointResume:
         assert "resume requested but checkpointing is disabled" in err
 
     def test_checkpoints_are_keyed_by_strategy_and_seed(self, tmp_path):
-        store = CheckpointStore(str(tmp_path))
-        with _interruptable_tuner(store, fail_after=None) as tuner:
+        with _interruptable_tuner(tmp_path, fail_after=None) as tuner:
             tuner.tune()
         # A different strategy on the same store must not collide.
-        other = make_tuner(
-            backend="serial",
-            checkpoint_store=store,
-            resume=True,
-            strategy="hillclimb",
-        )
-        with other:
+        with _interruptable_tuner(
+            tmp_path, fail_after=None, strategy="hillclimb"
+        ) as other:
             report = other.tune()
         assert report.strategy == "hillclimb"
         assert other.evaluator.evaluations > 0  # genuinely searched
@@ -416,16 +558,50 @@ class TestCheckpointResume:
         with Session() as session:
             assert not session.checkpoints.enabled
 
-    def test_store_save_and_clear_roundtrip(self, tmp_path):
+    def test_store_save_and_load_roundtrip(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         identity = {"program": "p", "seed": 1}
-        store.save(identity, {"complete": False, "journal": []})
+        store.save(identity, {"complete": True, "report": {"seed": 1}})
         entry = store.load(identity)
-        assert entry is not None and entry["journal"] == []
+        assert entry is not None and entry["report"] == {"seed": 1}
         assert store.load({"program": "other", "seed": 1}) is None
-        store.clear(identity)
-        assert store.load(identity) is None
+        with open(store.path_for(identity), encoding="utf-8") as handle:
+            assert len(json.load(handle)["checksum"]) == 16
 
+
+#: A child process tuning Sort serially into a cache directory.
+_SORT_CHILD = """
+import sys
+
+from repro.api import TunerConfig, tune_program
+from repro.apps.registry import benchmark, canonical_env_factory
+from repro.compiler.compile import compile_program
+from repro.hardware.machines import DESKTOP
+
+spec = benchmark("Sort")
+tune_program(
+    compile_program(spec.build_program(), DESKTOP),
+    canonical_env_factory("Sort"),
+    max_size=int(sys.argv[2]),
+    seed=1,
+    accuracy_fn=spec.accuracy_fn,
+    accuracy_target=spec.accuracy_target,
+    config=TunerConfig.resolve(
+        backend="serial", workers=1, strategy="evolutionary",
+        resume=False, progress=False, cache_dir=sys.argv[1],
+    ),
+)
+"""
+
+
+def _logged_records(cache_dir) -> int:
+    """Complete records in the evaluation logs under ``cache_dir``."""
+    count = 0
+    for path in glob.glob(os.path.join(str(cache_dir), "*.log")):
+        with open(path, "rb") as handle:
+            context = json.loads(handle.readline())
+        count += len(ResultCache(str(cache_dir)).get(context) or ())
+    return count
 
 class TestProgress:
     def test_one_line_per_round_plus_summary(self):

@@ -1,13 +1,14 @@
-"""Batch-level checkpoint/resume: a killed ``Session.run_batch``
-must resume to byte-identical reports on every backend.
+"""Batch-level resume: a killed ``Session.run_batch`` must resume to
+byte-identical reports on every backend.
 
 The kill is simulated by making candidate evaluation raise after a
-fixed number of commits — past the driver's checkpoint interval, so a
-partial session state is on disk.  The resumed batch runs under each
-session backend (``serial``, ``thread``, ``process``) against the same
-``REPRO_CACHE_DIR``; its final reports must match an uninterrupted
-baseline field for field (``computed_evaluations`` excepted — resuming
-legitimately changes how much physical simulation happened).
+fixed number of commits, inside the first session's search, so the
+evaluation log holds part of that session.  The resumed batch runs
+under each session backend (``serial``, ``thread``, ``process``)
+against the same ``REPRO_CACHE_DIR``; its final reports must match an
+uninterrupted baseline field for field (``computed_evaluations``
+excepted — resuming legitimately changes how much physical simulation
+happened).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.experiments.runner import clear_sessions
 
 PAIRS = [("Strassen", "Desktop"), ("Poisson2D SOR", "Desktop")]
 
-#: Evaluations before the injected kill: past the first checkpoint
+#: Evaluations before the injected kill: past the first log sync
 #: (every 64 commits) and inside the first session's search.
 KILL_AFTER = 100
 
@@ -47,8 +48,8 @@ def _report_key(report: TuningReport):
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory):
-    """Uninterrupted batch in its own cache dir (so its checkpoints
-    cannot leak into the kill/resume runs)."""
+    """Uninterrupted batch in its own cache dir (so its logs and
+    stored reports cannot leak into the kill/resume runs)."""
     cache = tmp_path_factory.mktemp("baseline_cache")
     old = os.environ.get("REPRO_CACHE_DIR")
     os.environ["REPRO_CACHE_DIR"] = str(cache)
@@ -91,10 +92,8 @@ def _kill_then_resume(monkeypatch, tmp_path, resume_backend, workers):
         ) as api_session:
             api_session.run_batch(PAIRS)
     monkeypatch.setattr(Evaluator, "evaluate", real)
-    checkpoints = os.path.join(str(tmp_path), "checkpoints")
-    assert os.path.isdir(checkpoints) and os.listdir(checkpoints), (
-        "the killed batch left no checkpoint behind"
-    )
+    logs = [name for name in os.listdir(tmp_path) if name.endswith(".log")]
+    assert logs, "the killed batch left no evaluation log behind"
 
     clear_sessions()
     with Session(

@@ -142,6 +142,28 @@ def test_run_batch_process_backend_populates_the_session_cache():
             assert cached is sessions[(name, machine.codename)]
 
 
+def test_a_one_pair_process_batch_counts_its_cache_traffic(tmp_path):
+    """With one pair left to tune, a process batch tunes it in this
+    process: its log appends must reach the session's cache handle,
+    as a sharded batch's shard counters do."""
+    config = TunerConfig.resolve(
+        backend="process", workers=1, tune_many_workers=2, cache_dir=str(tmp_path)
+    )
+    with Session(config) as session:
+        session.tune("Strassen", DESKTOP, seed=DEFAULT_SEED)
+        before = session.result_cache.stats.stores
+        sessions = session.run_batch(
+            [("Strassen", DESKTOP), ("Tridiagonal Solver", DESKTOP)],
+            seed=DEFAULT_SEED,
+        )
+        report = sessions[("Tridiagonal Solver", "Desktop")].report
+        assert report.computed_evaluations > 0
+        assert (
+            session.result_cache.stats.stores - before
+            == report.computed_evaluations
+        )
+
+
 def test_run_batch_serial_backend_tunes_sequentially():
     sessions = batch(PAIRS[:2], tune_many_workers=4, backend="serial")
     assert len(sessions) == 2

@@ -139,8 +139,17 @@ class TestFinishedReportsScanStats:
         store.save(
             identity(1), {"complete": True, "report": {"seed": 1}}
         )
-        # A valid but in-progress checkpoint.
-        store.save(identity(2), {"complete": False, "partial": True})
+        # A partial checkpoint as older versions left them: a commit
+        # journal and no checksum.
+        with open(
+            os.path.join(str(tmp_path), "tune_partial.json"),
+            "w",
+            encoding="utf-8",
+        ) as handle:
+            json.dump(
+                {"complete": False, "journal": [], "identity": identity(2)},
+                handle,
+            )
         # Complete but written by another checkpoint layout.
         store.save(
             identity(3, version=CHECKPOINT_VERSION + 1),
@@ -189,6 +198,27 @@ class TestFinishedReportsScanStats:
         assert stats.not_complete == 1
         assert stats.wrong_version == 1
         assert stats.stale_model == 1
+
+    def test_a_changed_digit_is_unreadable_and_never_yielded(self, tmp_path):
+        """The file still parses with one digit changed; its checksum
+        no longer matches its content, so the scan skips it as
+        unreadable, and a load quarantines it."""
+        store = CheckpointStore(str(tmp_path))
+        identity = {
+            "version": CHECKPOINT_VERSION,
+            "model": execution_model_hash(),
+            "seed": 1,
+        }
+        store.save(identity, {"complete": True, "report": {"best_time_s": 0.5}})
+        path = store.path_for(identity)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace('"best_time_s": 0.5', '"best_time_s": 0.6'))
+        assert list(store.finished_reports()) == []
+        assert store.last_scan.unreadable == 1
+        assert store.load(identity) is None
+        assert not os.path.exists(path)
 
     def test_caller_supplied_collector_is_used_and_published(self, tmp_path):
         store = self._seed_store(tmp_path)
