@@ -618,18 +618,19 @@ def _parse_mini_toml(text: str, path: str) -> Dict[str, object]:
     """
     data: Dict[str, object] = {}
     current: Dict[str, object] = data
-    for line_number, raw_line in enumerate(text.split("\n"), start=1):
+    # Only CRLF ends a line like LF; a lone CR is a control character.
+    lines = text.replace("\r\n", "\n").split("\n")
+    for line_number, raw_line in enumerate(lines, start=1):
         where = f"malformed config file {path}, line {line_number}"
-        line = raw_line[:-1] if raw_line.endswith("\r") else raw_line
-        if _CONTROL.search(line):
+        if _CONTROL.search(raw_line):
             raise ConfigError(f"{where}: control character in {raw_line!r}")
-        line = line.strip(" \t")
+        line = raw_line.strip(" \t")
         if not line or line.startswith("#"):
             continue
         if line.startswith("["):
-            header, _, rest = line[1:].partition("]")
+            header, closed, rest = line[1:].partition("]")
             name = header.strip(" \t")
-            if not _BARE_KEY.fullmatch(name) or not _is_comment(rest):
+            if not closed or not _BARE_KEY.fullmatch(name) or not _is_comment(rest):
                 raise ConfigError(f"{where}: unsupported table header {raw_line!r}")
             if name in data:
                 raise ConfigError(f"{where}: table [{name}] defined twice")

@@ -15,11 +15,12 @@ results.
 The plane is a *pure-compute* accelerator: workers only ever run the
 order-independent half of candidate evaluation
 (:func:`~repro.core.backends.evaluate_request`, which answers with what
-:meth:`~repro.core.fitness.Evaluator.compute_batch_flagged` returns),
-and the requesting tuner commits results through the same
-ordered-commit machinery as every other backend, so tuning reports are
-bit-for-bit identical to serial no matter where — or how many times — a
-simulation ran.
+:meth:`~repro.core.fitness.Evaluator.compute_batch_flagged` returns:
+each lane's outcome, with its decision path if the worker simulated
+it), and the requesting tuner grows its own trees from the paths and
+commits results through the same ordered-commit machinery as every
+other backend, so tuning reports are bit-for-bit identical to serial
+no matter where — or how many times — a simulation ran.
 
 Robustness:
 

@@ -8,7 +8,7 @@ codecs share the framing:
   the right tool there because the only non-primitive payloads are a
   task's :class:`~repro.core.backends.EvaluationRequest` (a frozen
   bundle of primitives, one lane chunk) and its answer, the
-  ``(pure outcomes, simulated flags)`` pair that
+  ``(pure outcomes, decision paths)`` pair that
   :func:`~repro.core.backends.evaluate_request` returns — and the
   fleet is trusted (the same trust model as a
   ``ProcessPoolExecutor``; do not expose a coordinator to untrusted
@@ -58,7 +58,7 @@ from repro.faults import fault_point
 #: Bump when the message vocabulary or the task payloads change
 #: incompatibly; peers with mismatched versions refuse to talk rather
 #: than mis-parse.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frame codecs (see module docstring for when each applies).
 PICKLE = "pickle"

@@ -5,9 +5,10 @@ Workers are stateless — every task carries a complete, self-verifying
 the handler (:func:`repro.core.backends.evaluate_request` by default)
 rebuilds its evaluator from the benchmark registry, memoised per
 ``(app, machine, seed, cache_dir)``, and answers with each lane's pure
-outcome and "simulated" flag.  A worker can therefore serve any number
-of concurrent tuning sessions over any number of programs, and joining
-or leaving mid-tune is always safe.
+outcome and, for each lane it simulated, the decision path its
+requester grows its own trees from.  A worker can therefore serve any
+number of concurrent tuning sessions over any number of programs, and
+joining or leaving mid-tune is always safe.
 
 Tasks run on a thread pool of ``slots`` threads while the asyncio side
 stays responsive for heartbeats, so a long simulation never makes the

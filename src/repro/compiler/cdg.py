@@ -18,7 +18,6 @@ The graph answers the two questions the compiler asks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import networkx as nx
@@ -26,19 +25,6 @@ import networkx as nx
 from repro.errors import CompileError
 from repro.lang.program import Program
 from repro.lang.transform import Choice, Step, Transform
-
-
-@dataclass(frozen=True)
-class CDGNode:
-    """A node in the bipartite choice dependency graph.
-
-    Attributes:
-        kind: ``"matrix"`` or ``"rule"``.
-        name: Matrix name, or ``rule:<choice>/<index>`` for rule nodes.
-    """
-
-    kind: str
-    name: str
 
 
 def build_choice_graph(

@@ -53,8 +53,7 @@ _ROW_CHUNK_MEMO: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
 def row_chunks(height: int, chunk_count: int) -> Tuple[Tuple[int, int], ...]:
     """Split ``[0, height)`` into up to ``chunk_count`` near-even ranges.
 
-    Memoised: identical to the historical ``_row_chunks`` computation,
-    but successive candidates evaluating the same (height, split)
+    Memoised: successive candidates evaluating the same (height, split)
     combination reuse the partition instead of recomputing it.
     """
     key = (height, chunk_count)

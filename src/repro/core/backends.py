@@ -16,7 +16,7 @@ expensive half of candidate evaluation a pure function of
 
     * :class:`~repro.core.parallel.ParallelEvaluator` submits to a
       thread pool.  Works for any program (rule closures stay
-      in-process) and shares the pure memo between workers for free.
+      in-process) and shares the decision trees with workers for free.
     * :class:`ProcessEvaluator` ships one *picklable*
       :class:`EvaluationRequest` per lane chunk — benchmark name,
       machine codename, each lane's configuration JSON, size, seed and
@@ -26,7 +26,8 @@ expensive half of candidate evaluation a pure function of
       closures never cross the pipe.  :func:`evaluate_request` is the
       only worker entry point, and it answers with exactly what
       :meth:`~repro.core.fitness.Evaluator.compute_batch_flagged`
-      returns: each lane's pure outcome and its "simulated" flag.
+      returns: each lane's pure outcome, and the decision path the
+      requester grows its trees from if the worker simulated it.
     * :class:`ClusterEvaluator` ships the same requests over TCP to a
       fleet of :mod:`repro.cluster` workers — local threads, other
       processes, or other hosts.  Without a configured coordinator
@@ -65,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api.config import DEFAULT_WORKERS, TunerConfig
 from repro.compiler.compile import CompiledProgram
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, DecisionPath
 from repro.core.fitness import (
     AccuracyFn,
     EnvFactory,
@@ -74,7 +75,7 @@ from repro.core.fitness import (
     _callable_token,
     program_fingerprint,
 )
-from repro.core.parallel import Chunk, ParallelEvaluator, PooledEvaluator
+from repro.core.parallel import ParallelEvaluator, PooledEvaluator
 from repro.core.result_cache import ResultCache, execution_model_hash
 from repro.core.retry import CircuitBreaker
 from repro.errors import ClusterUnavailable, TuningError
@@ -207,8 +208,9 @@ class EvaluationRequest:
     boundary.
 
     Carries the candidate configurations of one chunk for the same
-    ``(program, machine, size, seed)``: one lane without lane batching,
-    up to ``batch_lanes`` otherwise.  The worker answers it through
+    ``(program, machine, size, seed)`` that the requester's decision
+    trees cannot answer: one lane without lane batching, up to
+    ``batch_lanes`` otherwise.  The worker answers it through
     :meth:`~repro.core.fitness.Evaluator.compute_batch_flagged`, so
     test-input generation and prepared-plan lookup happen once per
     chunk, and each chunk costs one pickle and one submission on the
@@ -245,8 +247,8 @@ class EvaluationRequest:
 
 #: Per-worker-process evaluator memo, keyed by (app, machine, seed,
 #: cache_dir).  LRU-bounded: a long-lived cluster worker sees a new
-#: seed per session, and each evaluator holds its compiled program,
-#: pure memo and decision trees.  Cluster worker slots are threads, so
+#: seed per session, and each evaluator holds its compiled program and
+#: decision trees.  Cluster worker slots are threads, so
 #: lookups and inserts take the lock.
 _WORKER_EVALUATORS: "OrderedDict[Tuple[str, str, int, Optional[str]], Evaluator]" = (
     OrderedDict()
@@ -293,27 +295,28 @@ def _worker_evaluator(request: EvaluationRequest) -> Evaluator:
 
 def evaluate_request(
     request: EvaluationRequest,
-) -> Tuple[List[PureEvaluation], List[bool]]:
+) -> Tuple[List[PureEvaluation], List[Optional[DecisionPath]]]:
     """Worker entry point: serve one lane chunk by name.
 
     Importable at module top level so it pickles by reference under
     every multiprocessing start method.  Process-pool and cluster
-    workers hand every request to this function.
+    workers hand every request to this function.  Lanes are decoded,
+    never keyed: the worker's trees walk each lane's answers.
 
     Returns:
         What :meth:`~repro.core.fitness.Evaluator.compute_batch_flagged`
-        returns: each lane's pure outcome and whether this worker
-        physically simulated it (False on a memo or decision-tree
-        hit), in lane order.  The flags feed the
-        requester's wall-clock-work gauge, not its deterministic
-        counters.
+        returns: each lane's pure outcome, and the decision path of
+        each lane this worker simulated (``None`` on a decision-tree
+        hit), in lane order.  The requester grows its trees from the
+        paths and counts them in its wall-clock-work gauge, not in its
+        deterministic counters.
 
     Raises:
         TuningError: On fingerprint/model-hash mismatch between the
             requesting tuner and this worker's rebuild, or when a
             simulated run fails.  A failure in any lane fails the whole
             request, and the requester re-raises it when it commits any
-            of the request's keys: the error may be a fingerprint or
+            of the request's lanes: the error may be a fingerprint or
             model-hash guard, which must stay loud.
     """
     if execution_model_hash() != request.model_hash:
@@ -334,12 +337,14 @@ def evaluate_request(
     return evaluator.compute_batch_flagged(configs, request.size)
 
 
-def _by_name_request(evaluator, chunk: Chunk, size: int) -> EvaluationRequest:
+def _by_name_request(
+    evaluator, chunk: List[Configuration], size: int
+) -> EvaluationRequest:
     """One chunk as the request a by-name transport ships to ``target``."""
     return EvaluationRequest(
         app=evaluator.target.app,
         machine=evaluator.target.machine,
-        config_jsons=tuple(key[0] for key, _ in chunk),
+        config_jsons=tuple(config.canonical_key() for config in chunk),
         size=size,
         seed=evaluator._seed,
         fingerprint=evaluator.fingerprint,
@@ -393,7 +398,7 @@ class ProcessEvaluator(PooledEvaluator):
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.workers)
 
-    def _submit(self, pool: Executor, chunk: Chunk, size: int) -> Future:
+    def _submit(self, pool: Executor, chunk: List[Configuration], size: int) -> Future:
         return pool.submit(evaluate_request, _by_name_request(self, chunk, size))
 
 
@@ -564,7 +569,7 @@ class ClusterEvaluator(PooledEvaluator):
 
     _transport = _ensure_client
 
-    def _submit(self, client, chunk: Chunk, size: int) -> Future:
+    def _submit(self, client, chunk: List[Configuration], size: int) -> Future:
         future = client.submit(_by_name_request(self, chunk, size))
         # Tag the future with its connection so a loss discovered at
         # join time degrades the right client — never a fresh one

@@ -9,12 +9,11 @@ between machines (the Figure 7 experiments), and fed back to the
 compiler.
 
 A :class:`Configuration` is an immutable value.  The autotuner tests
-thousands of candidates, and each is keyed by its compact canonical
-JSON (:meth:`Configuration.canonical_key`) in the evaluator's memo, the
-driver's journal and checkpoints; since nothing can change after
-construction, each instance builds that key once and carries it.  New
-candidates are derived with the ``with_*`` builders or constructed
-from plain dicts.
+thousands of candidates and compares, hashes, ships and reports each
+by its compact canonical JSON (:meth:`Configuration.canonical_key`);
+since nothing can change after construction, each instance builds that
+key once and carries it.  New candidates are derived with the
+``with_*`` builders or constructed from plain dicts.
 
 A simulated run never holds the configuration itself: it reads it
 through a :class:`ConfigurationView`, which can answer only two kinds of
@@ -221,8 +220,9 @@ class Configuration:
         return json.dumps(self._payload(), indent=2, sort_keys=True)
 
     def canonical_key(self) -> str:
-        """Compact canonical serialisation: the memo, journal and
-        checkpoint key.
+        """Compact canonical serialisation: the identity behind
+        equality and hashing, the text a by-name worker receives, and
+        a tuning event's ``config_key``.
 
         Same content as :meth:`to_json` (and parseable by
         :meth:`from_json`), but without pretty-printing.  Built on the

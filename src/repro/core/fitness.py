@@ -380,8 +380,9 @@ class Evaluator:
     lives as long as the evaluator: everything else a simulation
     depends on (program fingerprint, machine, seed, test inputs and
     accuracy metric) is fixed per evaluator, so the tree is keyed by
-    size alone.  A candidate whose answers follow an earlier
-    simulation's decision path is served from the tree.  Those fixed
+    size alone.  The trees are its only index of pure outcomes: a
+    candidate whose answers follow an earlier simulation's decision
+    path, a repeat included, is served from the tree.  Those fixed
     inputs are also the evaluator's cache *context*: the trees start
     from the context's log in the disk cache, loaded the first time
     they are needed, and every simulation appends its record to it.
@@ -393,15 +394,14 @@ class Evaluator:
         accuracy_target: Largest acceptable error.
         seed: Seed forwarded to the runtime scheduler.
         result_cache: Cross-session disk cache; ``None`` disables the
-            disk layer (in-memory memo and trees only).
+            disk layer (in-memory trees only).
 
     Attributes:
         tuning_time_s: Accumulated virtual tuning time (test runs plus
-            kernel compiles), identical whether results were computed,
-            memoised or served from a decision tree.
+            kernel compiles), identical whether results were computed
+            or served from a decision tree.
         evaluations: Number of *logical* candidate tests committed —
-            the serial tuner's test count.  Memo and tree hits never
-            inflate it.
+            the serial tuner's test count.  Tree hits never inflate it.
         computed_evaluations: Number of simulations physically executed
             by this evaluator (a warm disk cache keeps this at zero, and
             decision-tree hits never count).  Unlike the logical
@@ -453,8 +453,7 @@ class Evaluator:
         # Session JIT model used only for commit-order replay of
         # compile events (the accounting model of Section 5.4).
         self._commit_jit = compiled.machine.fresh_jit()
-        self._pure: Dict[Tuple[str, int], PureEvaluation] = {}
-        self._committed: Dict[Tuple[str, int], Evaluation] = {}
+        self._committed: Dict[Tuple[Configuration, int], Evaluation] = {}
         self._pure_lock = threading.Lock()
         # Everything a pure outcome depends on besides the candidate
         # and the size: the identity of this evaluator's log.  Sessions
@@ -522,10 +521,6 @@ class Evaluator:
         (policy-independent) pure evaluation results.
         """
         return self._commit_jit
-
-    def key_for(self, config: Configuration, size: int) -> Tuple[str, int]:
-        """Memoisation key of one (configuration, size) pair."""
-        return (config.canonical_key(), size)
 
     def _loaded_trees(self) -> Dict[int, DecisionTree]:
         """This evaluator's decision trees, grown from its log in the
@@ -642,25 +637,25 @@ class Evaluator:
 
     def compute_batch_flagged(
         self, configs: Sequence[Configuration], size: int
-    ) -> Tuple[List[PureEvaluation], List[bool]]:
+    ) -> Tuple[List[PureEvaluation], List[Optional[DecisionPath]]]:
         """Pure outcomes for a lane-batch of configurations at ``size``,
-        plus per-lane "physically simulated" flags (True for lanes
-        served by the simulator rather than the memo or a decision
-        tree).
+        plus the decision path of each lane this call simulated
+        (``None`` for a lane the decision tree served).
 
         The one path every pure outcome takes (:meth:`compute` is its
         one-lane case), and exactly what by-name workers answer (see
-        :func:`~repro.core.backends.evaluate_request`): they forward the
-        flags so the requester's ``computed_evaluations`` gauge
-        attributes work to the right lanes.
+        :func:`~repro.core.backends.evaluate_request`): the requester
+        grows its own trees from the paths, so it never ships a lane
+        they can answer, and counts each path in its
+        ``computed_evaluations`` gauge.
 
-        Each lane looks up the memo, then the decision tree at
-        ``size`` (loaded from the disk cache on first use), and only
-        then simulates.  The tree walk happens right before the lane
-        would simulate, so an earlier lane of the batch can serve a
-        later one.  Every simulation grows the tree and appends its
-        record to the evaluator's log; a tree hit writes nothing, and
-        a warm replay of a cold session computes nothing.
+        Each lane looks up the decision tree at ``size`` (loaded from
+        the disk cache on first use), and only simulates on a miss.
+        The tree walk happens right before the lane would simulate, so
+        an earlier lane of the batch can serve a later one.  Every
+        simulation grows the tree and appends its record to the
+        evaluator's log; a tree hit writes nothing, and a warm replay
+        of a cold session computes nothing.
 
         The simulated lanes share their *surroundings*: prepared
         invocation plans are warmed once, and test environments are
@@ -675,22 +670,20 @@ class Evaluator:
         Safe to call from worker threads.
 
         Raises:
-            TuningError: If any lane's simulated run fails.
+            TuningError: If any lane's simulated run fails, or its path
+                conflicts with the tree.
         """
-        keys = [self.key_for(config, size) for config in configs]
-        with self._pure_lock:
-            results = [self._pure.get(key) for key in keys]
-        computed = [False] * len(keys)
-        misses = [index for index, pure in enumerate(results) if pure is None]
         trees = self._loaded_trees()
         numeric = not self.lane_batchable
+        pures: List[PureEvaluation] = []
+        paths: List[Optional[DecisionPath]] = []
         envs: List[Dict[str, np.ndarray]] = []
-        for position, index in enumerate(misses):
-            config = configs[index]
+        for position, config in enumerate(configs):
             with self._pure_lock:
                 pure = trees[size].lookup(config)
                 if pure is not None:
                     self.path_hits += 1
+            path = None
             if pure is None:
                 if not envs:
                     # Shared by the lanes left to simulate: fully-built
@@ -698,7 +691,7 @@ class Evaluator:
                     # acquisition for all of them).
                     self._compiled.plans.warm_all()
                     envs = self._fresh_env_batch(
-                        size, len(misses) - position, numeric=numeric
+                        size, len(configs) - position, numeric=numeric
                     )
                 pure, path = self._simulate(config, size, numeric, envs.pop())
                 with self._pure_lock:
@@ -710,13 +703,13 @@ class Evaluator:
                     path,
                     (pure.time_s, pure.accuracy, pure.compile_events),
                 )
-                computed[index] = True
-            results[index] = pure
-        with self._pure_lock:
-            out = [self._pure.setdefault(key, pure) for key, pure in zip(keys, results)]
-        return out, computed
+            pures.append(pure)
+            paths.append(path)
+        return pures, paths
 
-    def _commit(self, key: Tuple[str, int], pure: PureEvaluation) -> Evaluation:
+    def _commit(
+        self, key: Tuple[Configuration, int], pure: PureEvaluation
+    ) -> Evaluation:
         """Account one pure outcome in sequential commit order."""
         committed = self._committed.get(key)
         if committed is not None:
@@ -744,7 +737,7 @@ class Evaluator:
             TuningError: If the run fails (propagating runtime faults
                 would abort the whole search for one bad candidate).
         """
-        key = self.key_for(config, size)
+        key = (config, size)
         committed = self._committed.get(key)
         if committed is not None:
             return committed

@@ -12,10 +12,10 @@ is bit-for-bit identical to the serial tuner's.
 :class:`PooledEvaluator` owns that speculative protocol once; its
 subclasses supply only a *transport*.  Here, :class:`ParallelEvaluator`
 runs pure work on a thread pool: programs are built from rule closures
-that do not pickle, and threads share the in-memory memo and the
-disk-cache handle for free.  Threads overlap only where a simulation
-releases the GIL: inside the NumPy kernels of numerically simulated
-programs (Sort, SVD).  Programs whose rule bodies are elided (see
+that do not pickle, and threads share the evaluator's decision trees
+and the disk-cache handle for free.  Threads overlap only where a
+simulation releases the GIL: inside the NumPy kernels of numerically
+simulated programs (Sort, SVD).  Programs whose rule bodies are elided (see
 :func:`~repro.core.fitness.lane_batchable`) simulate in pure Python and
 hold it.  :mod:`repro.core.backends` adds process-pool and cluster
 transports for registered benchmarks, which *can* be rebuilt by name.
@@ -27,20 +27,13 @@ The worker count comes from the constructor (``config.workers`` via
 from __future__ import annotations
 
 from concurrent.futures import CancelledError, Executor, Future, ThreadPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import DEFAULT_WORKERS
 from repro.compiler.compile import CompiledProgram
-from repro.core.configuration import Configuration
+from repro.core.configuration import Configuration, DecisionPath
 from repro.core.fitness import EnvFactory, Evaluation, Evaluator, PureEvaluation
 from repro.errors import TuningError
-
-#: Memoisation key of one ``(configuration, size)`` pair.
-Key = Tuple[str, int]
-
-#: One submission's worth of pending work: ``(key, configuration)``
-#: pairs, at most ``batch_lanes`` long.
-Chunk = Sequence[Tuple[Key, Configuration]]
 
 
 class PooledEvaluator(Evaluator):
@@ -51,12 +44,16 @@ class PooledEvaluator(Evaluator):
     accounting), while :meth:`prefetch` submits speculative pure work
     the caller expects to need, one submission per lane chunk.
 
+    The requester's decision trees are its only index of outcomes:
+    :meth:`prefetch` ships no lane they answer, and the join grows them
+    from the decision path of each lane a worker simulated.
+
     Subclasses are transports.  ``_submit(transport, chunk, size)``
-    starts one :data:`Chunk` (at most ``batch_lanes`` configurations)
-    and returns its future; ``_decode(outcome, lane)`` turns one lane of
-    its result into a :class:`PureEvaluation` plus whether it was
-    simulated where ``computed_evaluations`` does not count it yet.  By
-    default the outcome is what
+    starts one chunk (a list of at most ``batch_lanes``
+    configurations) and returns its future; ``_decode(outcome, lane)``
+    turns one lane of its result into a :class:`PureEvaluation` plus
+    its decision path if it was simulated where this evaluator's trees
+    have not grown it yet.  By default the outcome is what
     :meth:`~repro.core.fitness.Evaluator.compute_batch_flagged` returns,
     as by-name workers answer (see
     :func:`~repro.core.backends.evaluate_request`).  Other hooks default
@@ -75,8 +72,8 @@ class PooledEvaluator(Evaluator):
         super().__init__(*args, **kwargs)
         self.batch_lanes = max(1, int(batch_lanes))
         self._executor: Optional[Executor] = None
-        # Speculated key -> (its submission's future, its lane).
-        self._inflight: Dict[Key, Tuple[Future, int]] = {}
+        # Speculated (configuration, size) -> (its future, its lane).
+        self._inflight: Dict[Tuple[Configuration, int], Tuple[Future, int]] = {}
 
     def _transport(self):
         """Where :meth:`_submit` sends work, or ``None`` when no
@@ -104,11 +101,12 @@ class PooledEvaluator(Evaluator):
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
-    def _decode(self, outcome, lane: int) -> Tuple[PureEvaluation, bool]:
-        """One lane of a submission's outcome, plus its "physically
-        simulated" flag."""
-        pures, computed = outcome
-        return pures[lane], computed[lane]
+    def _decode(
+        self, outcome, lane: int
+    ) -> Tuple[PureEvaluation, Optional[DecisionPath]]:
+        """One lane of a submission's outcome, plus its path or ``None``."""
+        pures, paths = outcome
+        return pures[lane], paths[lane]
 
     def prefetch(self, configs: Sequence[Configuration], size: int) -> None:
         """Start speculative evaluation of ``configs`` at ``size``.
@@ -118,8 +116,11 @@ class PooledEvaluator(Evaluator):
         wall-clock work but cannot perturb results; a speculative
         failure surfaces only if that configuration is later actually
         evaluated (exactly when the serial tuner would have failed).
-        Without a transport (a one-worker pool, a degraded cluster) the
-        hint is ignored and every configuration computes at its commit.
+        Lanes committed, in flight, repeated or answered by the tree at
+        ``size`` are not shipped; a conflicted tree ships nothing, and
+        the next commit at ``size`` raises.  Without a transport (a
+        one-worker pool, a degraded cluster) the hint is ignored and
+        every configuration computes at its commit.
         """
         transport = self._transport()
         if transport is None:
@@ -127,50 +128,57 @@ class PooledEvaluator(Evaluator):
         # Workers sharing the cache directory append to this
         # evaluator's log; loading it puts it in the handle's sync set,
         # so close() makes their records durable too.
-        self._loaded_trees()
-        pending: Dict[Key, Configuration] = {}
-        for config in configs:
-            key = self.key_for(config, size)
-            if key in self._committed or key in self._inflight or key in pending:
-                continue
-            with self._pure_lock:
-                memoised = key in self._pure
-            if not memoised:
-                pending[key] = config
+        trees = self._loaded_trees()
+        fresh = dict.fromkeys(
+            config
+            for config in configs
+            if (config, size) not in self._committed
+            and (config, size) not in self._inflight
+        )
+        with self._pure_lock:
+            try:
+                queued = [c for c in fresh if trees[size].lookup(c) is None]
+            except TuningError:
+                return  # the tree's conflict fails every commit here
         lanes = self.batch_lanes
-        queued = list(pending.items())
         for start in range(0, len(queued), lanes):
             chunk = queued[start : start + lanes]
             future = self._submit(transport, chunk, size)
-            for lane, (key, _) in enumerate(chunk):
-                self._inflight[key] = (future, lane)
+            for lane, config in enumerate(chunk):
+                self._inflight[(config, size)] = (future, lane)
 
     def _join(
-        self, key: Key, future: Future, lane: int
+        self, key: Tuple[Configuration, int], future: Future, lane: int
     ) -> Optional[PureEvaluation]:
-        """Harvest one key's speculative answer into the pure memo;
-        ``None`` when the transport lost it."""
+        """Harvest one key's speculative answer, growing the tree at its
+        size from the answer's path; ``None`` when the transport lost
+        it, or the path conflicts with the tree (which keeps the
+        conflict, so the commit's own walk raises it)."""
         try:
             outcome = future.result()
         except Exception as exc:
             if not self._lost(future, exc):
                 raise
             return None
-        pure, computed = self._decode(outcome, lane)
-        with self._pure_lock:
-            if computed:
+        pure, path = self._decode(outcome, lane)
+        if path is not None:
+            trees = self._loaded_trees()
+            with self._pure_lock:
                 self.computed_evaluations += 1
-            self._pure.setdefault(key, pure)
-            return self._pure[key]
+                try:
+                    trees[key[1]].grow(path, pure)
+                except TuningError:
+                    return None
+        return pure
 
     def evaluate(self, config: Configuration, size: int) -> Evaluation:
         """Commit-ordered evaluation (see base class).
 
         Joins the in-flight speculative submission for this key when
         one exists; a lost or never-submitted one computes in-process
-        (which still consults the shared memo and decision trees).
+        (a decision-tree walk, which simulates only on a miss).
         """
-        key = self.key_for(config, size)
+        key = (config, size)
         committed = self._committed.get(key)
         if committed is not None:
             return committed
@@ -187,10 +195,11 @@ class PooledEvaluator(Evaluator):
     def drop_speculation(self) -> None:
         """Forget speculative work whose premise was invalidated.
 
-        Finished answers are harvested into the pure memo, so they stay
-        reusable even with the disk layer disabled; failed ones stay
-        swallowed until that configuration is actually evaluated.
-        Unfinished submissions are cancelled, once per chunk.
+        Finished answers are harvested into the decision trees, so they
+        stay reusable even with the disk layer disabled; a conflicting
+        path raises at the next commit at its size, and a failed answer
+        when its configuration is actually evaluated.  Unfinished
+        submissions are cancelled, once per chunk.
         """
         cancelled = set()
         for key, (future, lane) in self._inflight.items():
@@ -245,17 +254,17 @@ class ParallelEvaluator(PooledEvaluator):
             max_workers=self.workers, thread_name_prefix="repro-eval"
         )
 
-    def _submit(self, pool: Executor, chunk: Chunk, size: int) -> Future:
+    def _submit(self, pool: Executor, chunk: List[Configuration], size: int) -> Future:
         if self.batch_lanes <= 1:
             # The benchmarks/e2e tracer binds `compute` as fitness.compute.
-            return pool.submit(self.compute, chunk[0][1], size)
-        configs = [config for _, config in chunk]
-        return pool.submit(self.compute_batch_flagged, configs, size)
+            return pool.submit(self.compute, chunk[0], size)
+        return pool.submit(self.compute_batch_flagged, chunk, size)
 
-    def _decode(self, outcome, lane: int) -> Tuple[PureEvaluation, bool]:
-        # Pool threads memoise and count their own work.
-        pure = outcome if self.batch_lanes <= 1 else outcome[0][lane]
-        return pure, False
+    def _decode(
+        self, outcome, lane: int
+    ) -> Tuple[PureEvaluation, Optional[DecisionPath]]:
+        # Pool threads grow the shared trees and count their own work.
+        return (outcome if self.batch_lanes <= 1 else outcome[0][lane]), None
 
     def _lost(self, future: Future, exc: Exception) -> bool:
         # A failed chunk says nothing about its other lanes: each key

@@ -5,8 +5,8 @@ The autotuner's throughput is bounded by the wall-clock cost of one
 the full simulation.  This harness measures that cost per benchmark,
 through the same :class:`~repro.core.fitness.Evaluator` path the tuner
 uses (every measured evaluation runs on a fresh evaluator with the
-disk cache off, so nothing is served from the memo, the disk cache or
-a decision tree), and emits
+disk cache off, so nothing is served from the disk cache or a decision
+tree), and emits
 ``BENCH_runtime.json`` so every PR lands with a measured before/after
 instead of a claim.  Three measurements per app (on the Desktop
 machine model, which exercises the GPU quartet path):
@@ -112,8 +112,7 @@ def _config_variant(compiled, index: int) -> Configuration:
     """The default configuration, made unique per ``index``.
 
     Nudging ``seq_par_cutoff`` (every program has it) produces a
-    distinct candidate whose evaluation no memo or disk cache has
-    seen.  A run that never asks for ``seq_par_cutoff`` (Strassen and
+    distinct candidate whose evaluation no disk cache has seen.  A run that never asks for ``seq_par_cutoff`` (Strassen and
     the Tridiagonal Solver at their bench sizes) answers every variant
     alike, so only a fresh evaluator keeps it from a decision-tree hit.
     """
@@ -130,7 +129,7 @@ def _bench_app(name: str, size: int, machine_name: str, repeats: int) -> Dict[st
 
     def fresh_evaluator(compiled) -> Evaluator:
         # Built outside the timed span, one per measured evaluation:
-        # its memo and decision trees start empty and the disk cache is
+        # its decision trees start empty and the disk cache is
         # off, so every evaluation simulates.  The env memo and the
         # prepared plans are shared, so they stay warm.
         return Evaluator(

@@ -64,15 +64,6 @@ TASK_CREATE_COST_S = 1.0e-7
 _ELIDED_ZERO = np.zeros(1)
 
 
-def merged_params(
-    rt: "RuntimeState", transform_name: str, passed: Mapping[str, float]
-) -> Dict[str, float]:
-    """Merge program defaults, transform defaults and passed params."""
-    params = dict(rt.plans.transform_plan(transform_name).base_params)
-    params.update(passed)
-    return params
-
-
 def make_invocation_task(
     transform_name: str,
     env: Dict[str, np.ndarray],
@@ -104,14 +95,6 @@ def peek_backend(rt: "RuntimeState", transform_name: str, size: int) -> Backend:
         return Backend.CPU
     ratio = rt.config.tunable(plan.gpu_ratio_key, 8)
     return Backend.GPU if ratio > 0 else Backend.CPU
-
-
-def _row_chunks(height: int, chunk_count: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``[0, height)`` into up to ``chunk_count`` near-even ranges.
-
-    Delegates to the memoised :func:`repro.compiler.prepared.row_chunks`.
-    """
-    return row_chunks(height, chunk_count)
 
 
 class _LoweredComposite:

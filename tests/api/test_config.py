@@ -163,6 +163,8 @@ MINI_TOML_CASES = [
     ("missing-value", "workers =\n", ConfigError),
     ("no-equals", "workers\n", ConfigError),
     ("control-character", "workers = 4\x0c\n", ConfigError),
+    ("unclosed-table-header", "workers = 2\n[tuner", ConfigError),
+    ("carriage-return-at-end", "workers = 2\r", ConfigError),
     # Valid TOML outside the subset: the fallback is allowed to refuse.
     ("literal-string", "backend = 'thread'\n", ConfigError),
     ("dotted-key", "tuner.workers = 2\n", ConfigError),

@@ -27,6 +27,7 @@ from repro.errors import ConfigError, TuningError
 from repro.hardware.machines import DESKTOP
 
 from tests.conftest import scale_env
+from tests.core.test_decision_paths import strassen_pair
 
 
 @pytest.fixture()
@@ -258,7 +259,7 @@ class TestEvaluateRequest:
             strassen_desktop, canonical_env_factory("Strassen"),
             seed=1, result_cache=ResultCache(None),
         ).compute(config, 64)
-        (result,), _flags = evaluate_request(
+        (result,), _paths = evaluate_request(
             self._request(strassen_desktop, config)
         )
         assert result.time_s == local.time_s
@@ -269,10 +270,11 @@ class TestEvaluateRequest:
         self, strassen_desktop, monkeypatch
     ):
         """One request of N lanes answers each lane with the pure
-        outcome N one-lane requests give, and flags exactly the lanes
-        it simulated.  The default configuration never asks for
+        outcome N one-lane requests give, and with a decision path for
+        exactly the lanes it simulated: the path each lane's one-lane
+        request reports.  The default configuration never asks for
         ``seq_par_cutoff`` at size 64, so its twin with another cutoff
-        follows the same decision path: a tree hit."""
+        follows the same decision path: a tree hit, answered ``None``."""
         from collections import OrderedDict
 
         from repro.core import backends
@@ -301,7 +303,7 @@ class TestEvaluateRequest:
         singles = serve(
             [self._request(strassen_desktop, config) for config in lanes]
         )
-        ((pures, computed),) = serve([
+        ((pures, paths),) = serve([
             self._request(
                 strassen_desktop, first,
                 config_jsons=tuple(config.to_json() for config in lanes),
@@ -309,10 +311,11 @@ class TestEvaluateRequest:
         ])
         assert pures == [single_pures[0] for single_pures, _ in singles]
         assert pures[1] == pures[3]
-        assert computed == [True, True, True, False]
-        assert computed == [
+        assert paths[3] is None
+        assert [path is not None for path in paths] == [
             config.canonical_key() in simulated for config in lanes
         ]
+        assert [single_paths[0] for _, single_paths in singles] == paths
 
     def test_fingerprint_mismatch_fails_loudly(self, strassen_desktop):
         from repro.core.configuration import default_configuration
@@ -480,6 +483,32 @@ def strassen_evaluator(compiled, backend, **config_fields):
     )
 
 
+@pytest.fixture()
+def fresh_workers(monkeypatch):
+    """Worker evaluators built from scratch, so a process or fleet
+    worker simulates what it is sent instead of answering from a tree
+    an earlier test grew in this process (fleet workers are threads
+    here, and pool processes fork from it)."""
+    from collections import OrderedDict
+
+    from repro.core import backends
+
+    monkeypatch.setattr(backends, "_WORKER_EVALUATORS", OrderedDict())
+
+
+def counting_submissions(evaluator):
+    """Wrap ``evaluator._submit``; returns the list of shipped chunks."""
+    shipped = []
+    submit = evaluator._submit
+
+    def counting_submit(transport, chunk, size):
+        shipped.append(list(chunk))
+        return submit(transport, chunk, size)
+
+    evaluator._submit = counting_submit
+    return shipped
+
+
 class TestPooledEvaluatorProtocol:
     """The speculative protocol :class:`PooledEvaluator` owns, checked
     through every transport (the cluster one on a self-hosted
@@ -504,19 +533,27 @@ class TestPooledEvaluatorProtocol:
 
     @pytest.mark.parametrize("backend", POOLED_BACKENDS)
     def test_drop_speculation_harvests_finished_results(
-        self, strassen_desktop, backend
+        self, strassen_desktop, backend, fresh_workers
     ):
-        """Completed speculative work survives a drop via the pure memo,
-        whether the transport's workers share it (threads) or not."""
+        """Completed speculative work survives a drop in the decision
+        trees, whether the transport's workers grow them (threads) or
+        answer with paths (processes, fleets): a later evaluate
+        neither simulates nor submits."""
         with strassen_evaluator(strassen_desktop, backend) as evaluator:
             (config,) = strassen_variants(strassen_desktop, 1)
             evaluator.prefetch([config], 64)
-            key = evaluator.key_for(config, 64)
-            future, _lane = evaluator._inflight[key]
+            future, _lane = evaluator._inflight[(config, 64)]
             future.result()  # let the worker finish
             evaluator.drop_speculation()
             assert not evaluator._inflight
-            assert key in evaluator._pure
+            assert evaluator.computed_evaluations == 1
+            shipped = counting_submissions(evaluator)
+            joined = evaluator.evaluate(config, 64)
+            assert not shipped
+            assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 1)
+        assert joined == strassen_evaluator(strassen_desktop, "serial").evaluate(
+            config, 64
+        )
 
     @pytest.mark.parametrize("backend", POOLED_BACKENDS)
     def test_drop_speculation_discards_queued_work(self, strassen_desktop, backend):
@@ -536,10 +573,7 @@ class TestPooledEvaluatorProtocol:
             strassen_desktop, backend, batch_lanes=2
         ) as evaluator:
             evaluator.prefetch(configs, 64)
-            entries = [
-                evaluator._inflight[evaluator.key_for(config, 64)]
-                for config in configs
-            ]
+            entries = [evaluator._inflight[(config, 64)] for config in configs]
             assert [lane for _, lane in entries] == [0, 1, 0]
             assert entries[0][0] is entries[1][0]
             assert entries[2][0] is not entries[0][0]
@@ -575,8 +609,9 @@ class TestPooledEvaluatorProtocol:
     ):
         """A one-worker pool or a degraded cluster cannot take work, so
         prefetch ignores the hint, as the serial evaluator does: no
-        pool starts, nothing is in flight and nothing computes until
-        the configurations are evaluated."""
+        pool starts, nothing is in flight, nothing computes and the
+        decision trees stay empty until the configurations are
+        evaluated."""
         from repro.cluster import LocalCluster
 
         configs = strassen_variants(strassen_desktop, 2)
@@ -589,16 +624,15 @@ class TestPooledEvaluatorProtocol:
             evaluator.prefetch(configs, 64)
             assert not evaluator._inflight
             assert evaluator._executor is None
-            assert evaluator.computed_evaluations == 0
-            with evaluator._pure_lock:
-                assert not evaluator._pure
+            assert (evaluator.computed_evaluations, evaluator.path_hits) == (0, 0)
+            assert not evaluator._trees
             if backend == "cluster":
                 assert evaluator.degradations == 1
             joined = [evaluator.evaluate(config, 64) for config in configs]
             assert evaluator.computed_evaluations == 2
         serial = strassen_evaluator(strassen_desktop, "serial", batch_lanes=4)
         serial.prefetch(configs, 64)
-        assert serial.computed_evaluations == 0 and not serial._pure
+        assert serial.computed_evaluations == 0 and not serial._trees
         assert joined == [serial.evaluate(config, 64) for config in configs]
 
     @pytest.mark.parametrize("lanes", (1, 4))
@@ -612,22 +646,114 @@ class TestPooledEvaluatorProtocol:
         with strassen_evaluator(
             strassen_desktop, backend, batch_lanes=lanes
         ) as evaluator:
-            shipped = []
-            submit = evaluator._submit
-
-            def counting_submit(transport, chunk, size):
-                shipped.append([key for key, _ in chunk])
-                return submit(transport, chunk, size)
-
-            evaluator._submit = counting_submit
+            shipped = counting_submissions(evaluator)
             evaluator.prefetch([a, a, b], 64)
-            keys = [evaluator.key_for(config, 64) for config in (a, b)]
-            assert sorted(key for chunk in shipped for key in chunk) == sorted(keys)
+            lanes_shipped = [config for chunk in shipped for config in chunk]
+            assert sorted(map(Configuration.canonical_key, lanes_shipped)) == sorted(
+                map(Configuration.canonical_key, (a, b))
+            )
             joined = [evaluator.evaluate(config, 64) for config in (a, b)]
-            # Fewer when a worker's memo already holds a key.
-            assert evaluator.computed_evaluations <= len(keys)
+            # Fewer when a worker's tree already answers a lane.
+            assert evaluator.computed_evaluations <= 2
         serial = strassen_evaluator(strassen_desktop, "serial")
         assert joined == [serial.evaluate(config, 64) for config in (a, b)]
+
+
+class TestRequesterTrees:
+    """The requester's decision trees are its only index of known
+    outcomes: they decide what is shipped, and workers' paths grow
+    them.  ``other`` differs from ``base`` only in a tunable no run
+    asks for, so one simulation's path answers both."""
+
+    @pytest.mark.parametrize("lanes", (1, 4))
+    @pytest.mark.parametrize("backend", POOLED_BACKENDS)
+    def test_a_lane_the_tree_answers_is_never_shipped(self, backend, lanes):
+        compiled, base, other = strassen_pair(pin_naive=False)
+        with strassen_evaluator(compiled, backend, batch_lanes=lanes) as evaluator:
+            evaluator.evaluate(base, 64)
+            computed = evaluator.computed_evaluations
+            shipped = counting_submissions(evaluator)
+            evaluator.prefetch([other], 64)
+            assert not shipped
+            assert not evaluator._inflight
+            hits = evaluator.path_hits
+            evaluator.evaluate(other, 64)
+            assert evaluator.path_hits == hits + 1
+            assert evaluator.computed_evaluations == computed
+
+    @pytest.mark.parametrize("backend", ("process", "cluster"))
+    def test_a_workers_answer_grows_the_requesters_tree(
+        self, backend, fresh_workers
+    ):
+        compiled, base, other = strassen_pair(pin_naive=False)
+        with strassen_evaluator(compiled, backend) as evaluator:
+            evaluator.prefetch([base], 64)
+            assert evaluator._inflight
+            evaluator.evaluate(base, 64)
+            assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 0)
+
+            def no_local_simulation(*args):
+                raise AssertionError("the requester simulated")
+
+            evaluator._simulate = no_local_simulation
+            evaluator.compute(other, 64)
+            assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 1)
+
+    def test_workers_build_no_key(self, strassen_desktop, fresh_workers, monkeypatch):
+        """A worker decodes each lane from its JSON and walks its tree
+        with the lane's answers: nothing it does needs a key."""
+        from repro.core.fitness import program_fingerprint
+
+        request = EvaluationRequest(
+            app="Strassen",
+            machine="Desktop",
+            config_jsons=tuple(
+                config.to_json() for config in strassen_variants(strassen_desktop, 4)
+            ),
+            size=64,
+            seed=1,
+            fingerprint=program_fingerprint(strassen_desktop),
+            model_hash=execution_model_hash(),
+            cache_dir=None,
+        )
+        builds = []
+        canonical_key = Configuration.canonical_key
+
+        def counting_canonical_key(config):
+            if config._key is None:
+                builds.append(config)
+            return canonical_key(config)
+
+        monkeypatch.setattr(Configuration, "canonical_key", counting_canonical_key)
+        pures, paths = evaluate_request(request)
+        assert len(pures) == 4 and all(path is not None for path in paths)
+        assert builds == []
+
+    def test_a_conflicting_answer_fails_only_at_its_commit(self, strassen_desktop):
+        """A fleet whose answer conflicts with the requester's tree is
+        harvested without raising; the tree keeps the conflict, so the
+        next commit at that size raises, as on the thread backend."""
+        from repro.cluster import LocalCluster
+        from repro.core.fitness import PureEvaluation
+
+        def conflicting(request):
+            lanes = len(request.config_jsons)
+            pure = PureEvaluation(time_s=1.0, accuracy=None, compile_events=())
+            return [pure] * lanes, [((("tunable", "unasked", 0), 0),)] * lanes
+
+        base, first, second = strassen_variants(strassen_desktop, 3)
+        with LocalCluster(workers=1, handler=conflicting) as fleet:
+            with strassen_evaluator(
+                strassen_desktop, "cluster", cluster_address=fleet.address
+            ) as evaluator:
+                evaluator.evaluate(base, 64)
+                evaluator.prefetch([first], 64)
+                future, _lane = evaluator._inflight[(first, 64)]
+                future.result(timeout=30)
+                evaluator.drop_speculation()
+                with pytest.raises(TuningError, match="conflict"):
+                    evaluator.evaluate(second, 64)
+                assert evaluator.evaluations == 1
 
 
 class TestSpeculativeFailures:

@@ -218,8 +218,8 @@ class TestEvaluatorReuse:
         cache = ResultCache(str(tmp_path))
         evaluator = new_evaluator("Strassen", compiled, cache)
         first = evaluator.compute(base, 64)
-        (second,), (simulated,) = evaluator.compute_batch_flagged([other], 64)
-        assert not simulated
+        (second,), (path,) = evaluator.compute_batch_flagged([other], 64)
+        assert path is None
         assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 1)
         assert outcome(second) == outcome(first)
         # Only the simulation appended to the log, and its record is
@@ -240,27 +240,29 @@ class TestEvaluatorReuse:
     def test_an_earlier_lane_serves_a_later_one(self):
         compiled, base, other = strassen_pair(pin_naive=False)
         evaluator = new_evaluator("Strassen", compiled)
-        pures, simulated = evaluator.compute_batch_flagged([base, other], 64)
-        assert simulated == [True, False]
+        pures, paths = evaluator.compute_batch_flagged([base, other], 64)
+        assert paths[1] is None
+        for question, answer in paths[0]:
+            assert base.answer(question) == other.answer(question) == answer
         assert outcome(pures[0]) == outcome(pures[1])
         assert evaluator.path_hits == 1
 
-    def test_the_memo_answers_before_the_tree(self):
+    def test_a_repeated_configuration_is_a_tree_hit(self):
         compiled, base, _other = strassen_pair(pin_naive=False)
         evaluator = new_evaluator("Strassen", compiled)
         evaluator.compute(base, 64)
         evaluator.compute(base, 64)
-        assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 0)
+        assert (evaluator.computed_evaluations, evaluator.path_hits) == (1, 1)
 
-    def test_the_loaded_log_answers_after_the_memo(self, tmp_path):
+    def test_the_loaded_log_answers_every_lookup(self, tmp_path):
         compiled, base, other = strassen_pair(pin_naive=False)
         new_evaluator("Strassen", compiled, ResultCache(str(tmp_path))).compute(base, 64)
         cache = ResultCache(str(tmp_path))
         evaluator = new_evaluator("Strassen", compiled, cache)
         evaluator.compute(other, 64)  # the tree, grown from the log
-        evaluator.compute(other, 64)  # the memo
-        evaluator.compute(base, 64)  # the tree again
-        assert (evaluator.computed_evaluations, evaluator.path_hits) == (0, 2)
+        evaluator.compute(other, 64)  # the same leaf again
+        evaluator.compute(base, 64)  # the leaf the logged path reaches
+        assert (evaluator.computed_evaluations, evaluator.path_hits) == (0, 3)
         assert cache.stats.hits == 1  # the log was loaded once
 
     def test_trees_are_per_size(self):

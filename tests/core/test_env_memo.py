@@ -91,7 +91,7 @@ class TestEnvMemo:
         compiled, evaluator = _evaluator(_make_factory(calls))
         config = default_configuration(compiled.training_info)
         first = evaluator.evaluate(config, 64)
-        # A separate evaluator (cold pure memo, warm env memo) agrees.
+        # A separate evaluator (cold decision trees, warm env memo) agrees.
         _, other = _evaluator(_make_factory([]))
         assert other.evaluate(config, 64).time_s == first.time_s
 

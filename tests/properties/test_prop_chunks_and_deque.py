@@ -5,15 +5,15 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.prepared import row_chunks
 from repro.runtime.deque import WorkDeque
-from repro.runtime.invocation import _row_chunks
 from repro.runtime.task import Task, TaskState
 
 
 @given(st.integers(min_value=1, max_value=10**6),
        st.integers(min_value=1, max_value=512))
 def test_row_chunks_partition_exactly(height, count):
-    chunks = _row_chunks(height, count)
+    chunks = row_chunks(height, count)
     # Non-empty, contiguous, covering, disjoint.
     assert chunks[0][0] == 0
     assert chunks[-1][1] == height
@@ -27,7 +27,7 @@ def test_row_chunks_partition_exactly(height, count):
 @given(st.integers(min_value=1, max_value=10**6),
        st.integers(min_value=1, max_value=512))
 def test_row_chunks_balanced(height, count):
-    chunks = _row_chunks(height, count)
+    chunks = row_chunks(height, count)
     sizes = [r1 - r0 for r0, r1 in chunks]
     assert max(sizes) - min(sizes) <= 1
 

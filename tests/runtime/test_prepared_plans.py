@@ -17,7 +17,6 @@ from repro.core.configuration import default_configuration
 from repro.core.selector import Selector
 from repro.hardware.machines import DESKTOP, SERVER
 from repro.runtime.executor import run_program
-from repro.runtime.invocation import _row_chunks
 
 #: Small but structurally interesting apps: a composite with OpenCL
 #: kernels, a recursive divide-and-conquer, a polyalgorithm with deep
@@ -141,6 +140,3 @@ class TestRowChunkMemo:
                 if edges[i] < edges[i + 1]
             )
             assert chunks == expected
-
-    def test_invocation_alias_preserved(self):
-        assert _row_chunks(10, 3) == row_chunks(10, 3)
