@@ -12,22 +12,29 @@ This module factors the config/size-independent half of lowering into
 a :class:`PreparedPlans` cache attached lazily to each
 :class:`~repro.compiler.compile.CompiledProgram`:
 
-* :class:`TransformPlan` — per transform: the merged base parameter
-  mapping (program defaults + transform defaults, ready to copy), the
-  user-tunable name/default pairs, and one :class:`ChoicePlan` per
-  execution choice.
+* :class:`TransformPlan` — per transform: the configuration-independent
+  half of the invocation preamble (:meth:`TransformPlan.params_at`
+  merges program defaults, transform defaults, the caller's parameters
+  and ``_size``; the invocation size comes from the first output's
+  shape unless the transform has ``size_of``), the user-tunable
+  name/default pairs, the task name and the may-copy-out table every
+  spawned invocation of the transform shares, and one
+  :class:`ChoicePlan` per execution choice.
 * :class:`ChoicePlan` — per execution choice: the dispatch strategy
-  decoded once (composite / OpenCL-capable / CPU rule), the rule's
-  cost specification pre-resolved when it contains no parameter
-  callables (the common case), and for composites the step templates
-  (callee transform object, binding table, matrix name tuples,
-  produce/consume names for the data-movement classifier).
+  decoded once (composite / OpenCL-capable / inline CPU rule / chunked
+  CPU rule), the rule's cost specification pre-resolved when it
+  contains no parameter callables (the common case), and for
+  composites the step templates (callee transform object, binding
+  table, matrix name tuples, produce/consume names for the
+  data-movement classifier).
 * :func:`row_chunks` — the row partitioning of data-parallel rules,
   memoised on its ``(height, chunk_count)`` arguments.
 
 Everything cached here is immutable with respect to the configuration
 and the runtime environment, so prepared plans are shared freely
-between candidate evaluations, worker threads and sizes.  The
+between candidate evaluations, worker threads and sizes.  Nothing here
+is keyed by size: sizes follow the data (Sort's quick-sort partitions),
+so a per-size table would grow with every input.  The
 config-*dependent* residue (selector indices, composite copy-out
 classifications under one configuration) is memoised per run by
 :class:`~repro.runtime.scheduler.RuntimeState` instead.
@@ -35,10 +42,11 @@ classifications under one configuration) is memoised per run by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 from repro.compiler.choices import ChoiceKind, ExecChoice
-from repro.lang.rule import ResolvedCost, Rule
+from repro.compiler.data_movement import CopyOutClass
+from repro.lang.rule import Pattern, ResolvedCost, Rule
 from repro.lang.transform import Choice, Step, Transform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -150,6 +158,11 @@ class ChoicePlan:
         kernel: The generated kernel for OpenCL kinds.
         is_composite: True for composite (step) choices.
         uses_opencl: True for the OpenCL kinds.
+        runs_inline: True when the CPU backend runs the rule as one
+            inline body (recursive or indivisible rules) instead of
+            row chunks.
+        recursive: True when the rule's pattern is recursive: its body
+            charges its own work, so no cost spec applies.
         static_cost: The rule's cost resolved ahead of time when the
             cost spec has no parameter-dependent fields, else None
             (resolve per invocation).
@@ -167,6 +180,8 @@ class ChoicePlan:
         "kernel",
         "is_composite",
         "uses_opencl",
+        "runs_inline",
+        "recursive",
         "static_cost",
         "steps",
         "intermediates",
@@ -180,7 +195,10 @@ class ChoicePlan:
         self.kernel = exec_choice.kernel
         self.is_composite = exec_choice.kind is ChoiceKind.COMPOSITE
         self.uses_opencl = exec_choice.uses_opencl
-        self.static_cost = _static_cost(exec_choice.rule)
+        rule = exec_choice.rule
+        self.recursive = rule is not None and rule.pattern is Pattern.RECURSIVE
+        self.runs_inline = rule is not None and (self.recursive or not rule.divisible)
+        self.static_cost = _static_cost(rule)
         authored: Choice = exec_choice.choice
         if self.is_composite:
             self.steps: Tuple[StepPlan, ...] = tuple(
@@ -210,12 +228,22 @@ class TransformPlan:
         compiled: The compiled transform.
         transform: The source transform.
         base_params: Program defaults merged with transform defaults;
-            invocations copy this and overlay their passed parameters.
+            :meth:`params_at` copies this and overlays an invocation's
+            passed parameters.
         user_tunables: ``(name, default)`` pairs of the transform's
             user tunables, for configuration lookups.
         choices: One :class:`ChoicePlan` per execution choice.
         num_choices: ``len(choices)``.
         outputs: The transform's output matrix names.
+        first_output: ``outputs[0]``: an invocation's size is its
+            element count unless ``sized_by_shapes``.
+        sized_by_shapes: True when the transform has ``size_of``, so an
+            invocation's size needs every bound matrix's shape.
+        task_name: Debug label of every invocation task of the
+            transform.
+        may_copy_out: Every output classified may-copy-out: the table
+            each spawned invocation of the transform shares (read
+            only).
     """
 
     __slots__ = (
@@ -227,6 +255,10 @@ class TransformPlan:
         "choices",
         "num_choices",
         "outputs",
+        "first_output",
+        "sized_by_shapes",
+        "task_name",
+        "may_copy_out",
         "gpu_ratio_key",
         "split_key",
         "lws_key",
@@ -250,6 +282,21 @@ class TransformPlan:
         )
         self.num_choices = len(self.choices)
         self.outputs = tuple(transform.outputs)
+        self.first_output = self.outputs[0]
+        self.sized_by_shapes = transform.size_of is not None
+        self.task_name = f"invoke:{transform.name}"
+        self.may_copy_out: Dict[str, CopyOutClass] = {
+            name: CopyOutClass.MAY_COPY_OUT for name in self.outputs
+        }
+
+    def params_at(self, size: int, passed: Mapping[str, float]) -> Dict[str, float]:
+        """An invocation's parameters before its user tunables: the base
+        parameters, overlaid by ``passed``, with ``_size`` set to
+        ``size`` unless ``passed`` set it.  A fresh dict."""
+        params = {**self.base_params, **passed} if passed else dict(self.base_params)
+        if "_size" not in params:
+            params["_size"] = float(size)
+        return params
 
 
 class PreparedPlans:

@@ -20,7 +20,7 @@ arithmetic throughput against shared memory bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import DeviceError
 from repro.hardware.device import CPUDevice, Device, GPUDevice
@@ -149,6 +149,33 @@ def kernel_time(launch: KernelLaunch, device: Device) -> float:
     return device.launch_overhead_s + max(compute_s, memory_s) + extra_s
 
 
+#: Per-occupancy CPU rates of each device :func:`cpu_task_time` has
+#: costed, keyed by identity; each entry holds its device, so no id is
+#: reused while its entry lives.
+_CPU_RATES: Dict[int, Tuple[CPUDevice, Tuple[Tuple[float, float], ...]]] = {}
+_CPU_RATES_CAP = 256
+
+
+def _build_cpu_rates(device: CPUDevice) -> Tuple[Tuple[float, float], ...]:
+    """``(flop/s, bytes/s)`` of one task's core for each count of busy
+    cores, built once per device.
+
+    Entry ``k`` holds the rates with ``k`` cores busy: each core's
+    arithmetic throughput, with turbo headroom, and its share of the
+    memory bandwidth.  Entry 0 repeats entry 1, as fewer than one busy
+    core counts as one.
+    """
+    bandwidth = device.memory_bandwidth_gbs * 1e9
+    rates = tuple(
+        (device.per_core_gflops(active) * 1e9, bandwidth / active)
+        for active in [1] + list(range(1, device.core_count + 1))
+    )
+    if len(_CPU_RATES) >= _CPU_RATES_CAP:  # unbounded growth guard
+        _CPU_RATES.clear()
+    _CPU_RATES[id(device)] = (device, rates)
+    return rates
+
+
 def cpu_task_time(
     flops: float,
     bytes_touched: float,
@@ -164,6 +191,8 @@ def cpu_task_time(
         device: The host CPU.
         active_cores: How many cores are concurrently busy — memory
             bandwidth is shared among them and turbo headroom shrinks.
+            Counts below one count as one, above the core count as the
+            core count.
         sequential: True for inherently sequential code (insertion sort
             base cases, direct tridiagonal solves): it runs at the
             scalar, not the SIMD, throughput.
@@ -173,15 +202,16 @@ def cpu_task_time(
     """
     if flops < 0 or bytes_touched < 0:
         raise DeviceError("flops and bytes_touched must be non-negative")
-    active = max(1, min(active_cores, device.core_count))
+    entry = _CPU_RATES.get(id(device))
+    rates = entry[1] if entry is not None and entry[0] is device else _build_cpu_rates(device)
+    if not 0 <= active_cores < len(rates):
+        active_cores = 0 if active_cores < 0 else len(rates) - 1
+    rate, share = rates[active_cores]
     if sequential:
         rate = device.sequential_gflops * 1e9
-    else:
-        rate = device.per_core_gflops(active) * 1e9
     compute_s = flops / rate
-    share = device.memory_bandwidth_gbs * 1e9 / active
     memory_s = bytes_touched / share
-    return max(compute_s, memory_s)
+    return memory_s if memory_s > compute_s else compute_s  # max(), inlined
 
 
 def transfer_bytes(shape, itemsize: int = 8) -> int:

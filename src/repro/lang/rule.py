@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -105,25 +106,35 @@ class CostSpec:
     cpu_flops_per_item: Optional[ParamFn] = None
     strided_access: bool = False
 
-    def resolve(self, params: Mapping[str, float]) -> "ResolvedCost":
-        """Evaluate all fields against concrete transform parameters."""
-        return ResolvedCost(
-            flops_per_item=float(_as_fn(self.flops_per_item, "flops_per_item")(params)),
-            bytes_read_per_item=float(
-                _as_fn(self.bytes_read_per_item, "bytes_read_per_item")(params)
-            ),
-            bytes_written_per_item=float(
-                _as_fn(self.bytes_written_per_item, "bytes_written_per_item")(params)
-            ),
-            bounding_box=int(_as_fn(self.bounding_box, "bounding_box")(params)),
-            sequential_fraction=self.sequential_fraction,
-            kernel_launches=max(
-                1, int(_as_fn(self.kernel_launches, "kernel_launches")(params))
-            ),
-            cpu_flops_per_item=(
-                float(_as_fn(self.cpu_flops_per_item, "cpu_flops_per_item")(params))
+    @cached_property
+    def _fns(self) -> Tuple[Optional[Callable[[Mapping[str, float]], float]], ...]:
+        """The parametric fields as callables, built on the first
+        :meth:`resolve` (a malformed field raises there) and kept."""
+        return (
+            _as_fn(self.flops_per_item, "flops_per_item"),
+            _as_fn(self.bytes_read_per_item, "bytes_read_per_item"),
+            _as_fn(self.bytes_written_per_item, "bytes_written_per_item"),
+            _as_fn(self.bounding_box, "bounding_box"),
+            _as_fn(self.kernel_launches, "kernel_launches"),
+            (
+                _as_fn(self.cpu_flops_per_item, "cpu_flops_per_item")
                 if self.cpu_flops_per_item is not None
                 else None
+            ),
+        )
+
+    def resolve(self, params: Mapping[str, float]) -> "ResolvedCost":
+        """Evaluate all fields against concrete transform parameters."""
+        flops, read, written, box, launches, cpu_flops = self._fns
+        return ResolvedCost(
+            flops_per_item=float(flops(params)),
+            bytes_read_per_item=float(read(params)),
+            bytes_written_per_item=float(written(params)),
+            bounding_box=int(box(params)),
+            sequential_fraction=self.sequential_fraction,
+            kernel_launches=max(1, int(launches(params))),
+            cpu_flops_per_item=(
+                float(cpu_flops(params)) if cpu_flops is not None else None
             ),
             strided_access=self.strided_access,
         )

@@ -14,7 +14,7 @@ Bodies that complete inline simply return ``None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,16 +22,20 @@ import numpy as np
 from repro.errors import LanguageError
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class SubInvoke:
     """A request to invoke a transform on a concrete environment.
+
+    Recursive bodies build one per child on every spawn, so the class
+    has slots and one hand-written ``__init__`` that also checks it.
 
     Attributes:
         transform: Name of the transform to invoke.
         env: Matrix environment for the callee: maps the callee's
             matrix names to numpy arrays (typically views into the
             caller's arrays, so results land in place).
-        params: Parameter mapping for the callee (e.g. kernel width).
+        params: Parameter mapping for the callee (e.g. kernel width);
+            empty when omitted.
         size_hint: Problem size used by the selector to pick the
             callee's algorithm; defaults to the element count of the
             callee's first output when omitted.
@@ -39,17 +43,27 @@ class SubInvoke:
 
     transform: str
     env: Dict[str, np.ndarray]
-    params: Dict[str, float] = field(default_factory=dict)
-    size_hint: Optional[int] = None
+    params: Dict[str, float]
+    size_hint: Optional[int]
 
-    def __post_init__(self) -> None:
-        if not self.transform:
+    def __init__(
+        self,
+        transform: str,
+        env: Dict[str, np.ndarray],
+        params: Optional[Dict[str, float]] = None,
+        size_hint: Optional[int] = None,
+    ) -> None:
+        if not transform:
             raise LanguageError("SubInvoke.transform must be non-empty")
-        for name, arr in self.env.items():
+        for name, arr in env.items():
             if not isinstance(arr, np.ndarray):
                 raise LanguageError(
                     f"SubInvoke env entry {name!r} must be a numpy array"
                 )
+        self.transform = transform
+        self.env = env
+        self.params = {} if params is None else params
+        self.size_hint = size_hint
 
 
 @dataclass

@@ -11,7 +11,7 @@ scheduling behaviour matches the real runtime's.
 from __future__ import annotations
 
 from collections import deque as _deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import RuntimeFault
 from repro.runtime.task import Task, TaskKind, TaskState
@@ -51,6 +51,21 @@ class WorkDeque:
             raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
         self._items.append(task)
         self.pushes += 1
+
+    def push_top_all(self, tasks: Sequence[Task]) -> None:
+        """Owner pushes ``tasks`` onto the top, in order (the last ends
+        on top): :meth:`push_top` for each, in one call.
+
+        Raises:
+            RuntimeFault: As :meth:`push_top`, before any is pushed.
+        """
+        for task in tasks:
+            if task.kind is not TaskKind.CPU:
+                raise RuntimeFault("CPU worker deques may only contain CPU tasks")
+            if task.state is not TaskState.RUNNABLE:
+                raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
+        self._items.extend(tasks)
+        self.pushes += len(tasks)
 
     def push_bottom(self, task: Task) -> None:
         """The GPU manager pushes a newly runnable CPU task at the bottom.

@@ -113,12 +113,10 @@ def run_program(
         numeric=numeric,
     )
     root = make_invocation_task(
-        compiled.program.entry,
+        rt.plans.transform_plan(compiled.program.entry),
         run_env,
-        params=params or {},
-        copy_classes={
-            name: CopyOutClass.MUST_COPY_OUT for name in entry.outputs
-        },
+        dict(params or {}),
+        {name: CopyOutClass.MUST_COPY_OUT for name in entry.outputs},
     )
     rt.submit_root(root)
     total = rt.run_to_completion()

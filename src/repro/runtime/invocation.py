@@ -15,13 +15,24 @@ strategy:
   invocations (sequential or task-parallel), and the data-movement
   classification decides each step's copy-out strategy.
 
-Hot-path layout: the config/size-independent half of lowering (merged
-parameter defaults, static cost resolution, composite step templates)
-comes pre-computed from the compiled program's
-:class:`~repro.compiler.prepared.PreparedPlans`; the config-dependent
-residue (selector indices, composite copy-out classification under the
-run's configuration) is memoised per run on the
-:class:`~repro.runtime.scheduler.RuntimeState`.
+Hot-path layout (every simulated run expands hundreds of invocations):
+
+* the config/size-independent half of lowering (merged parameter
+  defaults and ``_size``, static cost resolution, dispatch decoding,
+  composite step templates, the shared task name and may-copy-out
+  table) comes pre-computed from the compiled program's
+  :class:`~repro.compiler.prepared.PreparedPlans`, and each invocation
+  payload holds its transform's plan;
+* an invocation's size is its first output's element count, so the
+  shapes of its whole environment are built only for composites and
+  transforms with ``size_of``;
+* a spawn resolves each callee plan once, and its children share the
+  callee's may-copy-out table instead of copying one each;
+* CPU tasks skip every residency check and device invalidation while
+  the run has no device buffer (the memory manager's ``has_buffers``);
+* the config-dependent residue (selector indices, composite copy-out
+  classification under the run's configuration) is memoised per run on
+  the :class:`~repro.runtime.scheduler.RuntimeState`.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from repro.compiler.data_movement import (
 from repro.compiler.prepared import ChoicePlan, TransformPlan, row_chunks
 from repro.errors import RuntimeFault
 from repro.hardware.costmodel import cpu_task_time
-from repro.lang.rule import Pattern, ResolvedCost, Rule, RuleContext
+from repro.lang.rule import ResolvedCost, Rule, RuleContext
 from repro.lang.spawn import Spawn, SubInvoke
 from repro.runtime.gpu_manager import GpuInvocationRecord
 from repro.runtime.gpu_tasks import (
@@ -65,21 +76,21 @@ _ELIDED_ZERO = np.zeros(1)
 
 
 def make_invocation_task(
-    transform_name: str,
+    plan: TransformPlan,
     env: Dict[str, np.ndarray],
-    params: Optional[Mapping[str, float]] = None,
-    copy_classes: Optional[Mapping[str, CopyOutClass]] = None,
+    params: Mapping[str, float],
+    copy_classes: Mapping[str, CopyOutClass],
     size_hint: Optional[int] = None,
 ) -> Task:
-    """Create a (NEW) CPU task that will expand a transform invocation."""
-    payload = InvocationPayload(
-        transform_name=transform_name,
-        env=env,
-        params=dict(params or {}),
-        copy_classes=dict(copy_classes or {}),
-        size_hint=size_hint,
+    """Create a (NEW) CPU task that will expand one invocation of
+    ``plan``'s transform.  The payload reads ``params`` and
+    ``copy_classes`` and never writes them, so callers may share them
+    between tasks."""
+    return Task(
+        plan.task_name,
+        TaskKind.CPU,
+        InvocationPayload(plan, env, params, copy_classes, size_hint),
     )
-    return Task(name=f"invoke:{transform_name}", kind=TaskKind.CPU, payload=payload)
 
 
 def peek_backend(rt: "RuntimeState", transform_name: str, size: int) -> Backend:
@@ -122,50 +133,48 @@ class InvocationPayload:
     """Expands one transform invocation according to the configuration.
 
     Attributes:
-        transform_name: Transform to invoke.
+        plan: Prepared plan of the transform to invoke.
         env: Matrix bindings (host arrays) for the transform.
         params: Parameters passed by the caller (merged with defaults
-            at run time).
+            at run time; read only).
         copy_classes: Copy-out classification for this invocation's
-            outputs, decided by the caller's schedule.
+            outputs, decided by the caller's schedule (read only).
         size_hint: Optional override of the selector's input size.
     """
 
-    transform_name: str
+    plan: TransformPlan
     env: Dict[str, np.ndarray]
-    params: Dict[str, float]
-    copy_classes: Dict[str, CopyOutClass]
+    params: Mapping[str, float]
+    copy_classes: Mapping[str, CopyOutClass]
     size_hint: Optional[int] = None
 
     def run(self, rt: "RuntimeState", now: float) -> PayloadResult:
         rt.stats.spawned_invocations += 1
-        plan = rt.plans.transform_plan(self.transform_name)
-        params = dict(plan.base_params)
-        if self.params:
-            params.update(self.params)
-
-        shapes = {name: arr.shape for name, arr in self.env.items()}
-        size = (
-            self.size_hint
-            if self.size_hint is not None
-            else plan.transform.default_size(shapes)
-        )
-        params.setdefault("_size", float(size))
+        plan = self.plan
+        size = self.size_hint
+        if size is None:
+            out = self.env.get(plan.first_output)
+            if out is None or plan.sized_by_shapes:
+                # size_of, or the error naming the unbound output.
+                size = plan.transform.default_size(_shapes(self.env))
+            else:
+                size = prod(out.shape)
+        params = plan.params_at(size, self.params)
         config = rt.config
         for tunable_name, default in plan.user_tunables:
             if tunable_name not in params:
                 params[tunable_name] = float(config.tunable(tunable_name, default))
 
-        choice = plan.choices[
-            rt.select_index(self.transform_name, size, plan.num_choices)
-        ]
+        choice = plan.choices[rt.select_index(plan.name, size, plan.num_choices)]
 
         if choice.is_composite:
-            return self._dispatch_composite(rt, plan, choice, params, shapes)
+            return self._dispatch_composite(rt, plan, choice, params)
         if choice.uses_opencl:
             ratio = config.tunable(plan.gpu_ratio_key, 8)
             if ratio > 0 and rt.gpu is not None:
                 return self._dispatch_opencl(rt, plan, choice, params, ratio)
+        if choice.runs_inline:  # _dispatch_cpu_rule's first case, one call early
+            return self._run_inline(rt, choice.rule, choice, params, now)
         return self._dispatch_cpu_rule(rt, plan, choice, params, now)
 
     # ------------------------------------------------------------------
@@ -183,7 +192,7 @@ class InvocationPayload:
         rule = choice.rule
         if rule is None:
             raise RuntimeFault(f"choice {choice.exec_choice.name!r} has no rule")
-        if rule.pattern is Pattern.RECURSIVE or not rule.divisible:
+        if choice.runs_inline:
             return self._run_inline(rt, rule, choice, params, now)
 
         out = self.env[rule.writes[0]]
@@ -199,18 +208,14 @@ class InvocationPayload:
 
         cost = choice.cost_for(params)
         env = self.env
-        name = self.transform_name
+        name = plan.name
         children = tuple(
             Task(
-                name=f"{name}[{r0}:{r1}]",
-                kind=TaskKind.CPU,
-                payload=CpuChunkPayload(
-                    rule=rule,
-                    env=env,
-                    params=params,
-                    rows=(r0, r1),
-                    cost=cost,
-                    items=max(1, total_items * (r1 - r0) // height),
+                f"{name}[{r0}:{r1}]",
+                TaskKind.CPU,
+                CpuChunkPayload(
+                    rule, env, params, (r0, r1), cost,
+                    max(1, total_items * (r1 - r0) // height),
                 ),
             )
             for r0, r1 in chunks
@@ -226,25 +231,27 @@ class InvocationPayload:
         params: Dict[str, float],
         now: float,
     ) -> PayloadResult:
+        env = self.env
+        memory = rt.memory
         lazy_s = 0.0
-        if rule.touches_data:
+        if rule.touches_data and memory.has_buffers:
             for name in rule.reads:
-                lazy_s += rt.memory.ensure_host(self.env[name], now)
-        out = self.env[rule.writes[0]]
+                lazy_s += memory.ensure_host(env[name], now)
+        out = env[rule.writes[0]]
         numeric = rt.numeric
-        ctx = RuleContext(self.env, params, (0, out.shape[0]), numeric=numeric)
-        if not numeric and rule.data_independent and rule.pattern is not Pattern.RECURSIVE:
+        ctx = RuleContext(env, params, (0, out.shape[0]), numeric=numeric)
+        if not numeric and rule.data_independent and not choice.recursive:
             # Elided lane: flagged leaf bodies neither charge nor spawn
             # (their cost comes from the CostSpec below), so the body
             # call is pure array arithmetic — skip it wholesale.
             spawn = None
         else:
             spawn = rule.body(ctx)
-        if rule.touches_data:
+        if rule.touches_data and memory.has_buffers:
             for name in rule.writes:
-                rt.memory.invalidate_device(self.env[name])
+                memory.invalidate_device(env[name])
         flops, mem_bytes, sequential = ctx.charged
-        if rule.pattern is not Pattern.RECURSIVE:
+        if not choice.recursive:
             # Indivisible leaf rules are costed by their CostSpec (the
             # same model the OpenCL variants use); recursive drivers
             # account their split/combine work via ctx.charge instead.
@@ -257,15 +264,11 @@ class InvocationPayload:
             mem_bytes += items * (read_bytes + cost.bytes_written_per_item)
             sequential = sequential or cost.sequential_fraction >= 1.0
         duration = DISPATCH_COST_S + lazy_s + cpu_task_time(
-            flops,
-            mem_bytes,
-            rt.machine.cpu,
-            active_cores=rt.active_workers(),
-            sequential=sequential,
+            flops, mem_bytes, rt.machine.cpu, rt.active_workers(), sequential
         )
         if spawn is None:
             return PayloadResult(duration=duration)
-        return _spawn_to_result(rt, spawn, self.env, params, duration)
+        return _spawn_to_result(rt, spawn, env, params, duration)
 
     # ------------------------------------------------------------------
     # OpenCL dispatch (GPU quartet + optional CPU portion)
@@ -308,7 +311,7 @@ class InvocationPayload:
         children: List[Task] = []
         children.append(
             Task(
-                name=f"gpu:prepare:{self.transform_name}",
+                name=f"gpu:prepare:{plan.name}",
                 kind=TaskKind.GPU,
                 payload=PreparePayload(
                     record=record,
@@ -319,7 +322,7 @@ class InvocationPayload:
         for name in rule.reads:
             children.append(
                 Task(
-                    name=f"gpu:copyin:{self.transform_name}:{name}",
+                    name=f"gpu:copyin:{plan.name}:{name}",
                     kind=TaskKind.GPU,
                     payload=CopyInPayload(record=record, host=self.env[name]),
                 )
@@ -344,7 +347,7 @@ class InvocationPayload:
             if copy_classes[name] is CopyOutClass.MUST_COPY_OUT:
                 children.append(
                     Task(
-                        name=f"gpu:copyout:{self.transform_name}:{name}",
+                        name=f"gpu:copyout:{plan.name}:{name}",
                         kind=TaskKind.GPU,
                         payload=CopyOutPayload(record=record, matrix_name=name),
                     )
@@ -359,7 +362,7 @@ class InvocationPayload:
                 r0, r1 = gpu_rows + c0, gpu_rows + c1
                 children.append(
                     Task(
-                        name=f"{self.transform_name}[{r0}:{r1}]",
+                        name=f"{plan.name}[{r0}:{r1}]",
                         kind=TaskKind.CPU,
                         payload=CpuChunkPayload(
                             rule=rule,
@@ -455,11 +458,11 @@ class InvocationPayload:
         plan: TransformPlan,
         choice: ChoicePlan,
         params: Dict[str, float],
-        shapes: Dict[str, Tuple[int, ...]],
     ) -> PayloadResult:
+        shapes = _shapes(self.env)
         memo = rt.composite_memo
         key = (
-            self.transform_name,
+            plan.name,
             tuple(sorted(shapes.items())),
             tuple(sorted(params.items())),
             tuple(sorted(self.copy_classes.items(), key=lambda kv: kv[0])),
@@ -500,10 +503,10 @@ class InvocationPayload:
                 cparams.update(step_plan.param_overrides)
             children.append(
                 make_invocation_task(
-                    step_plan.transform_name,
+                    rt.plans.transform_plan(step_plan.transform_name),
                     child_env,
                     cparams,
-                    copy_classes=step_classes,
+                    step_classes,
                 )
             )
         duration = DISPATCH_COST_S + TASK_CREATE_COST_S * len(children)
@@ -529,8 +532,9 @@ class CpuChunkPayload:
         lazy_s = 0.0
         memory = rt.memory
         env = self.env
-        for name in self.rule.reads:
-            lazy_s += memory.ensure_host(env[name], now)
+        if memory.has_buffers:
+            for name in self.rule.reads:
+                lazy_s += memory.ensure_host(env[name], now)
         numeric = rt.numeric
         ctx = RuleContext(env, self.params, self.rows, numeric=numeric)
         if not numeric and self.rule.data_independent:
@@ -544,8 +548,9 @@ class CpuChunkPayload:
             raise RuntimeFault(
                 f"data-parallel rule {self.rule.name!r} attempted to spawn"
             )
-        for name in self.rule.writes:
-            memory.invalidate_device(env[name])
+        if memory.has_buffers:
+            for name in self.rule.writes:
+                memory.invalidate_device(env[name])
         extra_flops, extra_bytes, _ = ctx.charged
         cost = self.cost
         flops = self.items * cost.effective_cpu_flops_per_item + extra_flops
@@ -560,8 +565,8 @@ class CpuChunkPayload:
             flops,
             mem_bytes,
             rt.machine.cpu,
-            active_cores=rt.active_workers(),
-            sequential=cost.sequential_fraction >= 1.0,
+            rt.active_workers(),
+            cost.sequential_fraction >= 1.0,
         )
         rt.stats.cpu_seconds += duration
         rt.stats.tasks_executed += 1
@@ -580,17 +585,15 @@ class CombinePayload:
 
     def run(self, rt: "RuntimeState", now: float) -> PayloadResult:
         lazy_s = 0.0
-        for arr in self.ensure_arrays:
-            lazy_s += rt.memory.ensure_host(arr, now)
+        memory = rt.memory
+        if memory.has_buffers:
+            for arr in self.ensure_arrays:
+                lazy_s += memory.ensure_host(arr, now)
         ctx = RuleContext(self.env, self.params, self.rows, numeric=rt.numeric)
         spawn = self.fn(ctx)  # type: ignore[operator]
         flops, mem_bytes, sequential = ctx.charged
         duration = lazy_s + cpu_task_time(
-            flops,
-            mem_bytes,
-            rt.machine.cpu,
-            active_cores=rt.active_workers(),
-            sequential=sequential,
+            flops, mem_bytes, rt.machine.cpu, rt.active_workers(), sequential
         )
         rt.stats.cpu_seconds += duration
         rt.stats.tasks_executed += 1
@@ -606,41 +609,41 @@ def _spawn_to_result(
     params: Mapping[str, float],
     duration: float,
 ) -> PayloadResult:
-    """Convert a rule body's :class:`Spawn` into scheduler children."""
+    """Convert a rule body's :class:`Spawn` into scheduler children.
+
+    Children of one spawn usually invoke one transform, so its plan is
+    looked up once; each child shares the callee's may-copy-out table.
+    The continuation checks the residency of every child's outputs
+    before its combine body reads them.
+    """
+    combine = spawn.combine
     children: List[Task] = []
     ensure: List[np.ndarray] = []
+    plan: Optional[TransformPlan] = None
     for sub in spawn.children:
         if not isinstance(sub, SubInvoke):
             raise RuntimeFault("Spawn children must be SubInvoke descriptors")
-        callee_outputs = rt.plans.transform_plan(sub.transform).outputs
-        classes = {
-            name: CopyOutClass.MAY_COPY_OUT for name in callee_outputs
-        }
+        if plan is None or plan.name != sub.transform:
+            plan = rt.plans.transform_plan(sub.transform)
         children.append(
-            make_invocation_task(
-                sub.transform,
-                sub.env,
-                sub.params,
-                copy_classes=classes,
-                size_hint=sub.size_hint,
+            Task(
+                plan.task_name,
+                TaskKind.CPU,
+                InvocationPayload(
+                    plan, sub.env, sub.params, plan.may_copy_out, sub.size_hint
+                ),
             )
         )
-        for name in callee_outputs:
-            ensure.append(sub.env[name])
+        if combine is not None:
+            for name in plan.outputs:
+                ensure.append(sub.env[name])
 
     continuation: Optional[Task] = None
-    if spawn.combine is not None:
-        out_rows = (0, 0)
+    if combine is not None:
         continuation = Task(
-            name="combine",
-            kind=TaskKind.CPU,
-            payload=CombinePayload(
-                fn=spawn.combine,
-                env=env,
-                params=params,
-                rows=out_rows,
-                ensure_arrays=tuple(ensure),
-            ),
+            "combine",
+            TaskKind.CPU,
+            CombinePayload(combine, env, params, (0, 0), tuple(ensure)),
         )
     return PayloadResult(
         duration=duration + TASK_CREATE_COST_S * len(children),
@@ -648,3 +651,8 @@ def _spawn_to_result(
         continuation=continuation,
         sequential=spawn.sequential,
     )
+
+
+def _shapes(env: Mapping[str, np.ndarray]) -> Dict[str, Tuple[int, ...]]:
+    """The shape of every matrix an invocation binds."""
+    return {name: arr.shape for name, arr in env.items()}

@@ -18,6 +18,12 @@ freshness metadata.  The manager implements the paper's optimisations:
   pays the transfer only when actually needed.
 * **Staleness** — when the host copy is written, the device buffer is
   released (it no longer reflects main memory).
+
+Until a run creates its first device buffer the table is empty, so
+every residency check and invalidation would find nothing: the
+manager's :attr:`~GpuMemoryManager.has_buffers` flag lets CPU tasks
+skip those loops outright (most runs of CPU-only configurations never
+create a buffer).
 """
 
 from __future__ import annotations
@@ -67,6 +73,12 @@ class GpuMemoryManager:
     All virtual-time costs are *returned* to the caller (the GPU
     manager actor or a lazily-copying CPU task) rather than tracked
     here, so this class stays a pure policy + data layer.
+
+    Attributes:
+        has_buffers: False until the first device buffer is created
+            (buffers are never freed).  While it is False,
+            :meth:`ensure_host` returns 0.0 and :meth:`invalidate_device`
+            does nothing for any array, so callers may skip them.
     """
 
     def __init__(
@@ -95,6 +107,7 @@ class GpuMemoryManager:
         self._dedup_copy_ins = dedup_copy_ins
         self._numeric = numeric
         self._table: Dict[int, DeviceBuffer] = {}
+        self.has_buffers = False
         self.allocations = 0
         self.copy_in_transfers = 0
         self.copy_in_dedups = 0
@@ -133,6 +146,7 @@ class GpuMemoryManager:
             device = np.broadcast_to(np.zeros(1, dtype=host.dtype), host.shape)
         buffer = DeviceBuffer(host=host, device=device)
         self._table[key] = buffer
+        self.has_buffers = True
         self.allocations += 1
         return buffer, True
 

@@ -187,19 +187,38 @@ class RuntimeState:
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeFault(f"cannot admit a {task.state.value} task")
         if task.kind is TaskKind.GPU:
-            if self.gpu is None:
-                raise RuntimeFault("GPU task admitted on a machine with no GPU")
-            self.gpu.push(task)
-            self._wake_gpu(now)
-            return
-        if actor[0] == "gpu":
-            worker = self.rng.choice(self.workers)
-            worker.deque.push_bottom(task)
+            self._push_gpu(task, now)
         else:
-            worker = self.workers[actor[1]]
-            worker.deque.push_top(task)
-        self._wake_worker(worker, now)
-        self._wake_idle_thieves(now)
+            self._push_cpu([task], actor, now)
+
+    def _push_gpu(self, task: Task, now: float) -> None:
+        """Figure 5(a): a runnable GPU task goes to the bottom of the
+        GPU queue."""
+        if self.gpu is None:
+            raise RuntimeFault("GPU task admitted on a machine with no GPU")
+        self.gpu.push(task)
+        self._wake_gpu(now)
+
+    def _push_cpu(self, tasks: List[Task], actor: Tuple[str, int], now: float) -> None:
+        """Figure 5(b) and (c) for runnable CPU tasks, in order: each
+        made runnable by the GPU goes to the bottom of a random worker's
+        deque; those made runnable by a worker go to the top of its own
+        deque, all in one push."""
+        if actor[0] == "gpu":
+            for task in tasks:
+                worker = self.rng.choice(self.workers)
+                worker.deque.push_bottom(task)
+                self._wake_worker(worker, now)
+                self._wake_idle_thieves(now)
+            return
+        worker = self.workers[actor[1]]
+        worker.deque.push_top_all(tasks)
+        # Both wakes only act on dormant workers, and each is
+        # idempotent until the next park, so one call per push does
+        # what one call per task would.
+        if self._dormant_workers:
+            self._wake_worker(worker, now)
+            self._wake_idle_thieves(now)
 
     def _wake_worker(self, worker: Worker, now: float) -> None:
         if worker.dormant and not worker.busy:
@@ -242,36 +261,27 @@ class RuntimeState:
             self.gpu.requeue(task)
             return
 
-        if result.children or result.continuation is not None:
+        children = result.children
+        if children or result.continuation is not None:
             continuation = result.continuation or make_barrier(f"{task.name}#join")
-            previous: Optional[Task] = None
-            for child in result.children:
-                if result.sequential and previous is not None:
-                    child.depend_on(previous)
-                continuation.depend_on(child)
-                previous = child
-            task.continue_with(continuation)
-            live = 1  # continuation enters the system
-            ready_gpu: List[Task] = []
-            ready_cpu: List[Task] = []
-            for child in result.children:
-                live += 1
-                if child.finish_dependency_creation():
-                    if child.kind is TaskKind.GPU:
-                        ready_gpu.append(child)
-                    else:
-                        ready_cpu.append(child)
-            self._live_tasks += live
-            if continuation.finish_dependency_creation():
+            ready = task.spawn(children, continuation, result.sequential)
+            # The children and the continuation enter the system; the
+            # continued task leaves it.
+            self._live_tasks += len(children)
+            if continuation.state is TaskState.RUNNABLE:
                 self.admit(continuation, actor, now)
-            # Push CPU children in reverse so the first spawned child
-            # sits on top of the deque and runs first (Cilk order);
-            # GPU children keep quartet order in the FIFO.
-            for child in ready_gpu:
-                self.admit(child, actor, now)
-            for child in reversed(ready_cpu):
-                self.admit(child, actor, now)
-            self._live_tasks -= 1  # the continued task leaves the system
+            # GPU children keep quartet order in the FIFO; CPU children
+            # are pushed in reverse so the first spawned sits on top of
+            # the deque and runs first (Cilk order).
+            ready_cpu: List[Task] = []
+            for child in ready:
+                if child.kind is TaskKind.GPU:
+                    self._push_gpu(child, now)
+                else:
+                    ready_cpu.append(child)
+            if ready_cpu:
+                ready_cpu.reverse()
+                self._push_cpu(ready_cpu, actor, now)
             return
 
         released = task.complete()

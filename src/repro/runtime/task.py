@@ -204,6 +204,71 @@ class Task:
             self.dependents.clear()
 
 
+    def spawn(
+        self, children: Sequence["Task"], continuation: "Task", sequential: bool
+    ) -> List["Task"]:
+        """Finish this running task by spawning ``children`` and
+        replacing it with ``continuation``, which waits for them all.
+
+        One pass does what these calls would, with the same edges in
+        the same order: ``continuation.depend_on(child)`` for each
+        child (preceded, when ``sequential``, by
+        ``child.depend_on(previous_child)``), then
+        :meth:`continue_with`, then :meth:`finish_dependency_creation`
+        on every child and on the continuation.  Every child and the
+        continuation must be ``NEW``.
+
+        Returns:
+            The children that became RUNNABLE, in spawn order.  The
+            continuation is RUNNABLE afterwards exactly when there were
+            no children (and it had no dependencies of its own).
+
+        Raises:
+            RuntimeFault: If this task is not RUNNABLE, or a child or
+                the continuation is not NEW.
+        """
+        if self.state is not TaskState.RUNNABLE:
+            raise RuntimeFault(f"cannot continue a {self.state.value} task")
+        if continuation.state is not TaskState.NEW:
+            raise RuntimeFault(
+                f"dependencies may only be added to NEW tasks, not "
+                f"{continuation.state.value}"
+            )
+        ready: List[Task] = []
+        previous: Optional[Task] = None
+        for child in children:
+            if child.state is not TaskState.NEW:
+                raise RuntimeFault(
+                    f"finish_dependency_creation on {child.state.value} task"
+                )
+            if sequential and previous is not None:
+                child.dependency_count += 1
+                previous.dependents.append(child)
+            child.dependents.append(continuation)
+            if child.dependency_count == 0:
+                child.state = TaskState.RUNNABLE
+                ready.append(child)
+            else:
+                child.state = TaskState.NON_RUNNABLE
+            previous = child
+        if continuation.state is not TaskState.NEW:  # it was also a child
+            raise RuntimeFault(
+                f"finish_dependency_creation on {continuation.state.value} task"
+            )
+        continuation.dependency_count += len(children)
+        self.state = TaskState.CONTINUED
+        self.continuation = continuation
+        if self.dependents:
+            continuation.dependents.extend(self.dependents)
+            self.dependents.clear()
+        continuation.state = (
+            TaskState.RUNNABLE
+            if continuation.dependency_count == 0
+            else TaskState.NON_RUNNABLE
+        )
+        return ready
+
+
 def make_barrier(name: str, kind: TaskKind = TaskKind.CPU) -> Task:
     """A dependency-only task that completes instantly when executed."""
     return Task(name=name, kind=kind, payload=None)
