@@ -58,7 +58,10 @@ class Configuration:
     :meth:`relabelled`, or build plain dicts and construct once.
     Because nothing can change after construction, each instance builds
     its :meth:`canonical_key` at most once, and equality and hashing use
-    that key.
+    that key; the key's hash is stored with it, so a dict operation on a
+    configuration costs no Python call once the key exists.  Neither is
+    pickled (:meth:`__reduce__` rebuilds from plain dicts, and ``str``
+    hashes differ between processes).
 
     Attributes:
         program_name: Program this configuration tunes.
@@ -67,7 +70,7 @@ class Configuration:
         label: Optional provenance label (e.g. "Desktop Config").
     """
 
-    __slots__ = ("program_name", "selectors", "tunables", "label", "_key")
+    __slots__ = ("program_name", "selectors", "tunables", "label", "_key", "_hash")
 
     program_name: str
     selectors: Mapping[str, Selector]
@@ -86,6 +89,7 @@ class Configuration:
         _set(self, "tunables", MappingProxyType(dict(tunables or {})))
         _set(self, "label", label)
         _set(self, "_key", None)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise TypeError(
@@ -109,7 +113,9 @@ class Configuration:
         return self.canonical_key() == other.canonical_key()
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        if self._hash is None:
+            self.canonical_key()
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -226,13 +232,14 @@ class Configuration:
 
         Same content as :meth:`to_json` (and parseable by
         :meth:`from_json`), but without pretty-printing.  Built on the
-        first call and stored, so later calls return the same string;
-        two threads racing on the first call both build that string.
-        This is the only place a key is built.
+        first call and stored with its hash, so later calls return the
+        same string; two threads racing on the first call both build
+        that string.  This is the only place a key is built.
         """
         key = self._key
         if key is None:
             key = _KEY_ENCODER.encode(self._payload())
+            _set(self, "_hash", hash(key))
             _set(self, "_key", key)
         return key
 

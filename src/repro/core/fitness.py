@@ -710,10 +710,12 @@ class Evaluator:
     def _commit(
         self, key: Tuple[Configuration, int], pure: PureEvaluation
     ) -> Evaluation:
-        """Account one pure outcome in sequential commit order."""
-        committed = self._committed.get(key)
-        if committed is not None:
-            return committed
+        """Account one pure outcome in sequential commit order.
+
+        Callers commit only a ``key`` they just missed in
+        ``_committed``, and only the driver's thread commits, so the
+        miss still holds here.
+        """
         self.evaluations += 1
         compile_s = 0.0
         for source_hash, device_name in pure.compile_events:

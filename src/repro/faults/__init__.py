@@ -37,9 +37,20 @@ by ``;``::
 
 * ``kind`` — one of :data:`ACTION_KINDS`; what the *call site* does
   with it (drop a frame, raise ``ENOSPC``, sleep, abort a transport).
-* ``arg`` — optional action argument (e.g. ``delay:0.05`` seconds).
+* ``arg`` — optional action argument, and only on the kinds that take
+  one: ``delay`` and ``slow`` take seconds (``delay:0.05``; default
+  0.01), finite, > 0 and at most ``threading.TIMEOUT_MAX``;
+  ``oserror`` takes an ``errno`` name (``oserror:EIO``; default
+  ``ENOSPC``).  Every other kind refuses an argument.
 * ``@rate`` — probability per check, in ``(0, 1]`` (default 1: always).
-* ``#limit`` — maximum number of firings (default unlimited).
+* ``#limit`` — maximum number of firings, at least 1 (default
+  unlimited).
+
+``seed``, the rate, the limit and the seconds are written as
+:class:`~repro.api.TunerConfig` knobs are: ASCII digits only, so no
+``1_0``, no non-ASCII digits, no ``inf`` and no ``nan``.  A bad clause
+raises :class:`~repro.errors.ConfigError` naming it when the spec is
+parsed, never when its fault fires.
 
 Determinism: the decision for the *n*-th check of a point hashes
 ``(seed, point, n)`` — each point carries its own counter, so thread
@@ -83,11 +94,19 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.api.config import ENV_FAULTS, FALSY_VALUES
+from repro.api.config import (
+    _SECONDS_TEXT,
+    ENV_FAULTS,
+    FALSY_VALUES,
+    _Integer,
+    _Kind,
+    _Seconds,
+)
 from repro.errors import ConfigError
 
 __all__ = [
@@ -110,6 +129,26 @@ __all__ = [
 ACTION_KINDS = frozenset(
     {"drop", "delay", "truncate", "corrupt", "oserror", "torn", "crash", "slow"}
 )
+
+#: The kinds whose action takes seconds as its argument.
+_SECONDS_KINDS = frozenset({"delay", "slow"})
+
+
+def _check_errno_name(text: str) -> None:
+    """Raise :class:`ConfigError` unless ``text`` names an ``errno``
+    code (any case)."""
+    name = text.upper()
+    if not (name.startswith("E") and isinstance(getattr(errno, name, None), int)):
+        raise ConfigError(f"expected an errno name such as ENOSPC, got {text!r}")
+
+
+def _read(kind: _Kind, text: str, what: str, clause: str):
+    """``text`` read as ``kind``; a :class:`ConfigError` names the
+    clause and what was being read."""
+    try:
+        return kind.read(text)
+    except ConfigError as exc:
+        raise ConfigError(f"malformed fault {what} in {clause!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -164,46 +203,49 @@ def parse_fault_plan(spec: str) -> FaultPlan:
                 f"malformed fault clause {clause!r}: expected 'point=action'"
             )
         if point == "seed":
-            try:
-                seed = int(action_text)
-            except ValueError:
-                raise ConfigError(
-                    f"malformed fault seed {action_text!r}: expected an integer"
-                ) from None
+            seed = _read(_Integer(-sys.maxsize), action_text, "seed", clause)
             continue
         limit: Optional[int] = None
         if "#" in action_text:
             action_text, _, limit_text = action_text.rpartition("#")
-            try:
-                limit = int(limit_text)
-            except ValueError:
-                raise ConfigError(
-                    f"malformed fault limit in {clause!r}: expected an integer"
-                ) from None
-            if limit < 1:
-                raise ConfigError(f"fault limit must be >= 1 in {clause!r}")
+            limit = _read(_Integer(1), limit_text, "limit", clause)
         rate = 1.0
         if "@" in action_text:
             action_text, _, rate_text = action_text.rpartition("@")
-            try:
-                rate = float(rate_text)
-            except ValueError:
+            if not _SECONDS_TEXT.fullmatch(rate_text.strip()):
                 raise ConfigError(
                     f"malformed fault rate in {clause!r}: expected a number"
-                ) from None
+                )
+            rate = float(rate_text)
             if not 0.0 < rate <= 1.0:
                 raise ConfigError(
                     f"fault rate must be in (0, 1] in {clause!r}, got {rate}"
                 )
         kind, _, arg = action_text.partition(":")
         kind = kind.strip().lower()
+        arg = arg.strip()
         if kind not in ACTION_KINDS:
             raise ConfigError(
                 f"unknown fault action {kind!r} in {clause!r}; "
                 f"known kinds: {sorted(ACTION_KINDS)}"
             )
+        if arg:
+            if kind in _SECONDS_KINDS:
+                _read(_Seconds(), arg, "seconds", clause)
+            elif kind == "oserror":
+                try:
+                    _check_errno_name(arg)
+                except ConfigError as exc:
+                    raise ConfigError(
+                        f"malformed fault errno in {clause!r}: {exc}"
+                    ) from None
+            else:
+                raise ConfigError(
+                    f"fault action {kind!r} takes no argument, got {arg!r} "
+                    f"in {clause!r}"
+                )
         actions[point] = FaultAction(
-            kind=kind, arg=arg.strip() or None, rate=rate, limit=limit
+            kind=kind, arg=arg or None, rate=rate, limit=limit
         )
     return FaultPlan(seed=seed, actions=actions, spec=spec)
 
@@ -321,9 +363,9 @@ def snapshot() -> Dict[str, Dict[str, int]]:
 
 def injected_oserror(action: FaultAction) -> OSError:
     """The OSError an ``oserror`` action stands for (ENOSPC by
-    default; ``oserror:<errno-name>`` picks another)."""
-    name = (action.arg or "ENOSPC").upper()
-    code = getattr(errno, name, errno.ENOSPC)
+    default; ``oserror:<errno-name>`` picks another, and the parser
+    refuses a name that is not an ``errno`` code)."""
+    code = getattr(errno, (action.arg or "ENOSPC").upper())
     return OSError(code, f"injected fault: {os.strerror(code)}")
 
 

@@ -509,6 +509,56 @@ def counting_submissions(evaluator):
     return shipped
 
 
+class _CountingDict(dict):
+    """A dict that counts its lookups (``get``, ``[]`` and ``in``)."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_a_serial_session_looks_each_commit_up_once(strassen_desktop, monkeypatch):
+    """``evaluate`` looks its key up in ``_committed`` once; ``_commit``
+    trusts that miss instead of looking again."""
+    from repro.api import tune_program
+
+    committed = []
+    evaluated = []
+    init = Evaluator.__init__
+    evaluate = Evaluator.evaluate
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._committed = _CountingDict()
+        committed.append(self._committed)
+
+    def counting_evaluate(self, config, size):
+        evaluated.append((config, size))
+        return evaluate(self, config, size)
+
+    monkeypatch.setattr(Evaluator, "__init__", counting_init)
+    monkeypatch.setattr(Evaluator, "evaluate", counting_evaluate)
+    tune_program(
+        strassen_desktop, canonical_env_factory("Strassen"), 64, seed=1,
+        config=TunerConfig(
+            backend="serial", workers=1, cache_dir=None, resume=False, progress=False
+        ),
+    )
+    assert len(committed) == 1
+    assert len(set(evaluated)) < len(evaluated)  # repeats were looked up too
+    assert committed[0].lookups == len(evaluated)
+
+
 class TestPooledEvaluatorProtocol:
     """The speculative protocol :class:`PooledEvaluator` owns, checked
     through every transport (the cluster one on a self-hosted

@@ -226,9 +226,12 @@ class TestImmutability:
 def test_canonical_key_is_the_reference_json_and_round_trips(app, seed, steps, label):
     training = app_training(app)
     config = built_configuration(training, random.Random(seed), steps, label)
+    fresh = built_configuration(training, random.Random(seed), steps, label)
+    assert hash(fresh) == hash(fresh.canonical_key())  # hashed before keyed
     key = config.canonical_key()
     assert key == reference_key(config)
     assert config.canonical_key() is key  # built once, then stored
+    assert hash(config) == hash(config.canonical_key()) == hash(key)
 
     restored = Configuration.from_json(key)
     assert restored == config
@@ -336,4 +339,6 @@ def test_a_cold_serial_session_builds_each_key_once(
     )
     assert built
     assert max(len(keys) for keys in built.values()) == 1
-    assert len(seen) > len(built)  # keys were asked for again, not rebuilt
+    # Asked again, every instance returns its stored key, not a rebuilt
+    # one.  (Dict operations no longer ask: the key's hash is stored.)
+    assert all(original(config) is key for config, key in seen)

@@ -44,6 +44,25 @@ class TestSpecGrammar:
             "p=drop@x",
             "p=drop#0",  # limit must be >= 1
             "p=drop#x",
+            # Numbers outside the config grammar.
+            "seed=1_0",
+            "seed=\u0663",  # ARABIC-INDIC DIGIT THREE
+            "p=drop#1_0",
+            "p=drop@1_0",
+            "p=drop@inf",
+            "p=drop@nan",
+            "p=drop@\u0660.5",
+            # Action arguments that used to fail only when the fault fired.
+            "worker.compute=delay:abc",
+            "p=delay:-5",
+            "p=delay:0",
+            "p=delay:inf",
+            "p=slow:1e400",
+            "p=delay:nan",
+            "p=oserror:EBOGUS",
+            "p=oserror:errorcode",
+            "p=drop:1",  # kinds that take no argument
+            "p=crash:now",
         ],
     )
     def test_malformed_specs_fail_loudly(self, bad):

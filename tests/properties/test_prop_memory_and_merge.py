@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.apps import sort
 from repro.apps.sort import _merge_path, merge_runs
 from repro.hardware.transfer import TransferModel
+from repro.lang.rule import RuleContext
 from repro.runtime.memory_manager import GpuMemoryManager
 
 
@@ -26,6 +28,98 @@ def test_merge_runs_is_a_sorted_permutation(a, b):
     np.testing.assert_array_equal(
         np.sort(merged), np.sort(np.concatenate([a, b]))
     )
+
+
+def reference_merge_runs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The merge ``merge_runs`` replaced, kept as its byte reference:
+    each element placed at its ``searchsorted`` rank, ``a`` first on
+    ties."""
+    out = np.empty(len(a) + len(b), dtype=a.dtype)
+    idx_a = np.arange(len(a)) + np.searchsorted(b, a, side="left")
+    idx_b = np.arange(len(b)) + np.searchsorted(a, b, side="right")
+    out[idx_a] = a
+    out[idx_b] = b
+    return out
+
+
+#: Floats that sort awkwardly, drawn often enough to repeat: signed
+#: zeros compare equal, NaNs sort last.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+edge_sorted_arrays = hnp.arrays(
+    dtype=np.float64, shape=st.integers(min_value=0, max_value=300), elements=edge_floats
+).map(np.sort)
+
+
+@given(edge_sorted_arrays, edge_sorted_arrays)
+@settings(max_examples=300)
+def test_merge_runs_matches_the_searchsorted_merge_byte_for_byte(a, b):
+    assert merge_runs(a, b).tobytes() == reference_merge_runs(a, b).tobytes()
+
+
+def reference_combine(data, ways, parallel_merge, cctx):
+    """The k-way merge-sort combine before it merged by stable sort:
+    copy the runs, merge them one by one, charge each merge."""
+    n = len(data)
+    edges = sort._split_points(n, ways)
+    runs = [data[edges[i] : edges[i + 1]].copy() for i in range(ways)]
+    if parallel_merge and n > 64:
+        while len(runs) > 2:
+            merged = reference_merge_runs(runs[0], runs[1])
+            cctx.charge(
+                flops=sort._CMP * len(merged),
+                mem_bytes=3 * sort._MOVE_BYTES * len(merged),
+            )
+            runs = [merged] + runs[2:]
+        return tuple(runs)  # what the ParallelMerge child receives
+    merged = runs[0]
+    for run in runs[1:]:
+        merged = reference_merge_runs(merged, run)
+        cctx.charge(
+            flops=sort._CMP * len(merged),
+            mem_bytes=3 * sort._MOVE_BYTES * len(merged),
+            sequential=True,
+        )
+    data[:] = merged
+    cctx.charge(mem_bytes=sort._MOVE_BYTES * n)
+    return None
+
+
+@given(
+    hnp.arrays(
+        dtype=np.float64, shape=st.integers(min_value=65, max_value=300), elements=edge_floats
+    ),
+    st.sampled_from([2, 4]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_merge_sort_combines_match_the_run_by_run_merges(values, ways, parallel_merge):
+    """Sort's combines merge their sorted runs by one stable sort of
+    ``data``: same bytes, same spawned ParallelMerge inputs and the
+    same charges as merging the runs one by one."""
+    data = values.copy()
+    spawn = sort._merge_sort_body(
+        RuleContext({"Data": data}, {}, (0, len(data))), ways, parallel_merge
+    )
+    for child in spawn.children:
+        child.env["Data"].sort()  # each child sorts its run in place
+    expected = data.copy()
+    reference_ctx = RuleContext({"Data": expected}, {}, (0, len(data)))
+    reference = reference_combine(expected, ways, parallel_merge, reference_ctx)
+
+    ctx = RuleContext({"Data": data}, {}, (0, len(data)))
+    result = spawn.combine(ctx)
+    assert ctx.charged == reference_ctx.charged
+    assert data.tobytes() == expected.tobytes()
+    if reference is None:
+        assert result is None
+        return
+    (merge,) = result.children
+    assert merge.transform == "ParallelMerge" and merge.env["Out"] is data
+    assert merge.env["A"].tobytes() == reference[0].tobytes()
+    assert merge.env["B"].tobytes() == reference[1].tobytes()
 
 
 @given(sorted_arrays, sorted_arrays, st.data())
