@@ -11,32 +11,31 @@ scheduling behaviour matches the real runtime's.
 from __future__ import annotations
 
 from collections import deque as _deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import RuntimeFault
 from repro.runtime.task import Task, TaskKind, TaskState
 
 
-class WorkDeque:
+class WorkDeque(_deque):
     """A double-ended task queue with owner-top / thief-bottom access.
+
+    It is a :class:`collections.deque` (top = right end), so ``len()``
+    and truth tests, which the scheduler's steal scan makes on every
+    victim, cost no Python call; tasks enter only through the checked
+    push methods below.
 
     Attributes:
         owner_id: Worker index owning this deque (for diagnostics).
     """
 
-    __slots__ = ("owner_id", "_items", "pushes", "steals_suffered")
+    __slots__ = ("owner_id", "pushes", "steals_suffered")
 
     def __init__(self, owner_id: int) -> None:
+        super().__init__()
         self.owner_id = owner_id
-        self._items: _deque = _deque()
         self.pushes = 0
         self.steals_suffered = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Task]:  # pragma: no cover - debug aid
-        return iter(self._items)
 
     def push_top(self, task: Task) -> None:
         """Owner pushes a runnable CPU task onto the top.
@@ -49,7 +48,7 @@ class WorkDeque:
             raise RuntimeFault("CPU worker deques may only contain CPU tasks")
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
-        self._items.append(task)
+        self.append(task)
         self.pushes += 1
 
     def push_top_all(self, tasks: Sequence[Task]) -> None:
@@ -64,7 +63,7 @@ class WorkDeque:
                 raise RuntimeFault("CPU worker deques may only contain CPU tasks")
             if task.state is not TaskState.RUNNABLE:
                 raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
-        self._items.extend(tasks)
+        self.extend(tasks)
         self.pushes += len(tasks)
 
     def push_bottom(self, task: Task) -> None:
@@ -78,18 +77,16 @@ class WorkDeque:
             raise RuntimeFault("CPU worker deques may only contain CPU tasks")
         if task.state is not TaskState.RUNNABLE:
             raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
-        self._items.appendleft(task)
+        self.appendleft(task)
         self.pushes += 1
 
     def pop_top(self) -> Optional[Task]:
         """Owner pops its most recently pushed task (LIFO)."""
-        if not self._items:
-            return None
-        return self._items.pop()
+        return self.pop() if self else None
 
     def steal_bottom(self) -> Optional[Task]:
         """A thief steals the oldest task (FIFO end)."""
-        if not self._items:
+        if not self:
             return None
         self.steals_suffered += 1
-        return self._items.popleft()
+        return self.popleft()

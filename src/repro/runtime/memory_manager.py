@@ -116,12 +116,10 @@ class GpuMemoryManager:
         self.bytes_copied_in = 0
         self.bytes_copied_out = 0
 
-    def _key(self, host: np.ndarray) -> int:
-        return id(host)
-
     def lookup(self, host: np.ndarray) -> Optional[DeviceBuffer]:
-        """The device buffer shadowing ``host``, if one exists."""
-        return self._table.get(self._key(host))
+        """The device buffer shadowing ``host``, if one exists (buffers
+        are keyed by the host array's identity)."""
+        return self._table.get(id(host))
 
     def get_or_create(self, host: np.ndarray) -> Tuple[DeviceBuffer, bool]:
         """Fetch or allocate the consolidated buffer for a host array.
@@ -133,7 +131,7 @@ class GpuMemoryManager:
         Returns:
             ``(buffer, created)`` — ``created`` is True on allocation.
         """
-        key = self._key(host)
+        key = id(host)
         buffer = self._table.get(key)
         if buffer is not None:
             return buffer, False

@@ -103,6 +103,7 @@ class RuntimeState:
         "composite_memo",
         "now",
         "_victims",
+        "_actors",
         "_agenda",
         "_seq",
         "_live_tasks",
@@ -142,6 +143,7 @@ class RuntimeState:
         self._victims: Tuple[Tuple[Worker, ...], ...] = tuple(
             tuple(w for w in self.workers if w.index != i) for i in range(count)
         )
+        self._actors = tuple(("worker", i) for i in range(count))
         self.gpu: Optional[GpuState] = (
             GpuState(self.machine.opencl_device)
             if self.machine.opencl_device is not None
@@ -342,9 +344,15 @@ class RuntimeState:
         worker = self.workers[index]
         worker.busy = False
         self._busy_workers -= 1
-        self._handle_result(task, result, ("worker", index), now)
+        self._handle_result(task, result, self._actors[index], now)
         self._seq += 1
-        heappush(self._agenda, (now, self._seq, _WAKE_WORKER, index, None, None))
+        agenda = self._agenda
+        if agenda and agenda[0][0] <= now:
+            heappush(agenda, (now, self._seq, _WAKE_WORKER, index, None, None))
+        else:
+            # Nothing else is due by ``now``, so this wake-up would be
+            # the next event popped: run it without the round trip.
+            self._on_wake_worker(index, now)
 
     def _on_wake_gpu(self, now: float) -> None:
         gpu = self.gpu
@@ -376,7 +384,11 @@ class RuntimeState:
             )
         else:
             self._seq += 1
-            heappush(self._agenda, (now, self._seq, _WAKE_GPU, None, None, None))
+            agenda = self._agenda
+            if agenda and agenda[0][0] <= now:
+                heappush(agenda, (now, self._seq, _WAKE_GPU, None, None, None))
+            else:
+                self._on_wake_gpu(now)  # the next event due, as above
 
     # ------------------------------------------------------------------
     # Main loop
