@@ -91,13 +91,13 @@ class CopyInPayload:
             # Paper Section 4.3: if the data is already on the GPU the
             # manager marks the copy-in complete without executing it.
             rt.memory.copy_in(self.host)  # counts the dedup
-            return PayloadResult(duration=_CHECK_COST_S)
+            return PayloadResult(_CHECK_COST_S)
         transfer_s = rt.memory.copy_in(self.host)
         start = max(gpu.copy_free_at, now + _CALL_COST_S)
         finish = start + transfer_s
         gpu.copy_free_at = finish
         self.record.inputs_ready = max(self.record.inputs_ready, finish)
-        return PayloadResult(duration=_CALL_COST_S)
+        return PayloadResult(_CALL_COST_S)
 
 
 @dataclass(slots=True)
@@ -185,7 +185,7 @@ class ExecutePayload:
             # REUSED: stays on the device for the next GPU rule.
             # MAY_COPY_OUT: lazy — pending rows recorded above; a CPU
             # consumer's residency check triggers the copy if needed.
-        return PayloadResult(duration=call_s + _CALL_COST_S * reads_started)
+        return PayloadResult(call_s + _CALL_COST_S * reads_started)
 
 
 @dataclass(slots=True)
@@ -209,6 +209,6 @@ class CopyOutPayload:
             )
         rt.stats.gpu_tasks_executed += 1
         if finish <= now:
-            return PayloadResult(duration=_POLL_COST_S)
+            return PayloadResult(_POLL_COST_S)
         rt.stats.copyout_polls += 1
         return PayloadResult(duration=_POLL_COST_S, requeue_at=finish)

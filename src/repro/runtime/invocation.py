@@ -221,7 +221,7 @@ class InvocationPayload:
             for r0, r1 in chunks
         )
         duration = DISPATCH_COST_S + TASK_CREATE_COST_S * len(children)
-        return PayloadResult(duration=duration, children=children)
+        return PayloadResult(duration, children)
 
     def _run_inline(
         self,
@@ -239,7 +239,7 @@ class InvocationPayload:
                 lazy_s += memory.ensure_host(env[name], now)
         out = env[rule.writes[0]]
         numeric = rt.numeric
-        ctx = RuleContext(env, params, (0, out.shape[0]), numeric=numeric)
+        ctx = RuleContext(env, params, (0, out.shape[0]), numeric)
         if not numeric and rule.data_independent and not choice.recursive:
             # Elided lane: flagged leaf bodies neither charge nor spawn
             # (their cost comes from the CostSpec below), so the body
@@ -267,7 +267,7 @@ class InvocationPayload:
             flops, mem_bytes, rt.machine.cpu, rt.active_workers(), sequential
         )
         if spawn is None:
-            return PayloadResult(duration=duration)
+            return PayloadResult(duration)
         return _spawn_to_result(rt, spawn, env, params, duration)
 
     # ------------------------------------------------------------------
@@ -376,7 +376,7 @@ class InvocationPayload:
                 )
 
         duration = DISPATCH_COST_S + TASK_CREATE_COST_S * len(children)
-        return PayloadResult(duration=duration, children=tuple(children))
+        return PayloadResult(duration, tuple(children))
 
     # ------------------------------------------------------------------
     # Composite dispatch (steps)
@@ -536,7 +536,7 @@ class CpuChunkPayload:
             for name in self.rule.reads:
                 lazy_s += memory.ensure_host(env[name], now)
         numeric = rt.numeric
-        ctx = RuleContext(env, self.params, self.rows, numeric=numeric)
+        ctx = RuleContext(env, self.params, self.rows, numeric)
         if not numeric and self.rule.data_independent:
             # Elided lane: flagged data-parallel bodies never charge,
             # so skipping the body leaves the CostSpec timing below
@@ -570,7 +570,7 @@ class CpuChunkPayload:
         )
         rt.stats.cpu_seconds += duration
         rt.stats.tasks_executed += 1
-        return PayloadResult(duration=duration)
+        return PayloadResult(duration)
 
 
 @dataclass(slots=True)
@@ -589,7 +589,7 @@ class CombinePayload:
         if memory.has_buffers:
             for arr in self.ensure_arrays:
                 lazy_s += memory.ensure_host(arr, now)
-        ctx = RuleContext(self.env, self.params, self.rows, numeric=rt.numeric)
+        ctx = RuleContext(self.env, self.params, self.rows, rt.numeric)
         spawn = self.fn(ctx)  # type: ignore[operator]
         flops, mem_bytes, sequential = ctx.charged
         duration = lazy_s + cpu_task_time(
@@ -598,7 +598,7 @@ class CombinePayload:
         rt.stats.cpu_seconds += duration
         rt.stats.tasks_executed += 1
         if spawn is None:
-            return PayloadResult(duration=duration)
+            return PayloadResult(duration)
         return _spawn_to_result(rt, spawn, self.env, self.params, duration)
 
 
@@ -646,10 +646,10 @@ def _spawn_to_result(
             CombinePayload(combine, env, params, (0, 0), tuple(ensure)),
         )
     return PayloadResult(
-        duration=duration + TASK_CREATE_COST_S * len(children),
-        children=tuple(children),
-        continuation=continuation,
-        sequential=spawn.sequential,
+        duration + TASK_CREATE_COST_S * len(children),
+        tuple(children),
+        continuation,
+        spawn.sequential,
     )
 
 
