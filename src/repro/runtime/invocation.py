@@ -26,8 +26,11 @@ Hot-path layout (every simulated run expands hundreds of invocations):
 * an invocation's size is its first output's element count, so the
   shapes of its whole environment are built only for composites and
   transforms with ``size_of``;
-* a spawn resolves each callee plan once, and its children share the
-  callee's may-copy-out table instead of copying one each;
+* a spawn resolves each callee plan once and builds each child task
+  directly, with no parameter or copy-class copies: the children share
+  the callee's may-copy-out table and task name;
+* recursive and indivisible rules dispatch straight to their inline
+  body, and hot-path objects are built with positional arguments;
 * CPU tasks skip every residency check and device invalidation while
   the run has no device buffer (the memory manager's ``has_buffers``);
 * the config-dependent residue (selector indices, composite copy-out

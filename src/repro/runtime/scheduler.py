@@ -24,11 +24,19 @@ thousands of times per tuning session):
   nested payload tuple per event;
 * event kinds are small ints dispatched by an ``if`` chain instead of
   a dict of closures;
-* per-worker victim tuples are precomputed (the steal path used to
-  rebuild the victim list on every attempt);
+* per-worker victim tuples (and actor tuples) are precomputed, and
+  worker deques are ``collections.deque`` subclasses, so the steal
+  scan's ``len()`` costs no Python call;
 * busy/dormant worker counts are maintained incrementally so
   ``active_workers`` and the thief-wakeup scan are O(1) when nothing
-  is parked;
+  is parked, and a push wakes nobody without a call when no worker
+  is dormant;
+* a spawn's children are wired in one :meth:`Task.spawn` pass and
+  pushed in one :meth:`WorkDeque.push_top_all` call instead of
+  ``depend_on``/``finish_dependency_creation``/``admit`` per child;
+* a finished task's wake-up of its worker (or of the GPU manager)
+  runs at once when no other event is due by then, since it would be
+  the next event popped anyway;
 * the seeded ``random.Random`` instances are pooled and re-seeded
   instead of constructed per run (bit-identical streams — ``seed()``
   re-derives the exact state ``Random(seed)`` would build).
