@@ -168,7 +168,7 @@ def _build_cpu_rates(device: CPUDevice) -> Tuple[Tuple[float, float], ...]:
     bandwidth = device.memory_bandwidth_gbs * 1e9
     rates = tuple(
         (device.per_core_gflops(active) * 1e9, bandwidth / active)
-        for active in [1] + list(range(1, device.core_count + 1))
+        for active in (1, *range(1, device.core_count + 1))
     )
     if len(_CPU_RATES) >= _CPU_RATES_CAP:  # unbounded growth guard
         _CPU_RATES.clear()
@@ -203,7 +203,10 @@ def cpu_task_time(
     if flops < 0 or bytes_touched < 0:
         raise DeviceError("flops and bytes_touched must be non-negative")
     entry = _CPU_RATES.get(id(device))
-    rates = entry[1] if entry is not None and entry[0] is device else _build_cpu_rates(device)
+    if entry is not None and entry[0] is device:
+        rates = entry[1]
+    else:
+        rates = _build_cpu_rates(device)
     if not 0 <= active_cores < len(rates):
         active_cores = 0 if active_cores < 0 else len(rates) - 1
     rate, share = rates[active_cores]

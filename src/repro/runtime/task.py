@@ -203,7 +203,6 @@ class Task:
             continuation.dependents.extend(self.dependents)
             self.dependents.clear()
 
-
     def spawn(
         self, children: Sequence["Task"], continuation: "Task", sequential: bool
     ) -> List["Task"]:
