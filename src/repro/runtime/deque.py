@@ -44,12 +44,7 @@ class WorkDeque(_deque):
             RuntimeFault: For GPU tasks or non-runnable tasks — CPU
                 deques may only contain runnable CPU tasks.
         """
-        if task.kind is not TaskKind.CPU:
-            raise RuntimeFault("CPU worker deques may only contain CPU tasks")
-        if task.state is not TaskState.RUNNABLE:
-            raise RuntimeFault(f"cannot enqueue a {task.state.value} task")
-        self.append(task)
-        self.pushes += 1
+        self.push_top_all((task,))
 
     def push_top_all(self, tasks: Sequence[Task]) -> None:
         """Owner pushes ``tasks`` onto the top, in order (the last ends

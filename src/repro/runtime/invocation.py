@@ -29,8 +29,7 @@ Hot-path layout (every simulated run expands hundreds of invocations):
 * a spawn resolves each callee plan once and builds each child task
   directly, with no parameter or copy-class copies: the children share
   the callee's may-copy-out table and task name;
-* recursive and indivisible rules dispatch straight to their inline
-  body, and hot-path objects are built with positional arguments;
+* hot-path objects are built with positional arguments;
 * CPU tasks skip every residency check and device invalidation while
   the run has no device buffer (the memory manager's ``has_buffers``);
 * the config-dependent residue (selector indices, composite copy-out
@@ -176,8 +175,6 @@ class InvocationPayload:
             ratio = config.tunable(plan.gpu_ratio_key, 8)
             if ratio > 0 and rt.gpu is not None:
                 return self._dispatch_opencl(rt, plan, choice, params, ratio)
-        if choice.runs_inline:  # _dispatch_cpu_rule's first case, one call early
-            return self._run_inline(rt, choice.rule, choice, params, now)
         return self._dispatch_cpu_rule(rt, plan, choice, params, now)
 
     # ------------------------------------------------------------------
